@@ -211,8 +211,16 @@ Table DedupByColumn(const Table& in, const std::string& key) {
 
 }  // namespace
 
-Status Executor::RunNode(const opt::PhysicalNode& node, fao::ExecContext* ctx,
-                         NodeRun* run, TablePtr* out_table, bool is_final) {
+fao::MorselOptions Executor::Morsels(const fao::ExecContext* ctx) const {
+  fao::MorselOptions morsels;
+  morsels.morsel_size = options_.morsel_size;
+  morsels.pool = ctx->exec_pool;
+  return morsels;
+}
+
+void Executor::RunNode(const opt::PhysicalNode& node, fao::ExecContext* ctx,
+                       NodeRun* run, TablePtr* out_table, bool is_final,
+                       DagScheduler::DoneFn done) {
   run->name = node.sig.name;
   run->template_id = node.spec.template_id;
   run->ver_id = node.spec.ver_id;
@@ -223,38 +231,6 @@ Status Executor::RunNode(const opt::PhysicalNode& node, fao::ExecContext* ctx,
   // output before this node starts.
   std::vector<TablePtr> inputs;
   for (const auto& in : node.sig.inputs) {
-    KATHDB_ASSIGN_OR_RETURN(TablePtr t, ctx->catalog->Get(in));
-    inputs.push_back(std::move(t));
-  }
-
-  fao::MorselOptions morsels;
-  morsels.morsel_size = options_.morsel_size;
-  morsels.pool = ctx->exec_pool;
-
-  auto t0 = std::chrono::steady_clock::now();
-  Result<Table> result =
-      fao::EvaluateWithMorsels(node.spec, inputs, ctx, morsels);
-  return FinishNode(node, ctx, run, out_table, inputs, node.spec,
-                    std::move(result), t0, is_final);
-}
-
-void Executor::RunNodeAsync(const opt::PhysicalNode& node,
-                            fao::ExecContext* ctx, NodeRun* run,
-                            TablePtr* out_table, bool is_final,
-                            DagScheduler::DoneFn done) {
-  bool batched = options_.enable_llm_batching && ctx->batcher != nullptr &&
-                 fao::IsBatchableTemplate(node.spec.template_id);
-  if (!batched) {
-    done(RunNode(node, ctx, run, out_table, is_final));
-    return;
-  }
-
-  run->name = node.sig.name;
-  run->template_id = node.spec.template_id;
-  run->ver_id = node.spec.ver_id;
-  run->dependency_pattern = node.spec.dependency_pattern;
-  std::vector<TablePtr> inputs;
-  for (const auto& in : node.sig.inputs) {
     auto t = ctx->catalog->Get(in);
     if (!t.ok()) {
       done(t.status());
@@ -262,10 +238,17 @@ void Executor::RunNodeAsync(const opt::PhysicalNode& node,
     }
     inputs.push_back(std::move(t).value());
   }
-  fao::MorselOptions morsels;
-  morsels.morsel_size = options_.morsel_size;
-  morsels.pool = ctx->exec_pool;
+  fao::MorselOptions morsels = Morsels(ctx);
   auto t0 = std::chrono::steady_clock::now();
+
+  bool batched = options_.enable_llm_batching && ctx->batcher != nullptr &&
+                 fao::IsPureTemplate(node.spec.template_id);
+  if (!batched) {
+    done(FinishNode(node, ctx, run, out_table, inputs, node.spec,
+                    fao::EvaluateWithMorsels(node.spec, inputs, ctx, morsels),
+                    t0, is_final));
+    return;
+  }
 
   if (ctx->exec_pool == nullptr || options_.max_parallel_nodes <= 1) {
     // Sequential mode: nothing to resume on, so await the batch here.
@@ -306,10 +289,6 @@ Status Executor::FinishNode(const opt::PhysicalNode& node,
                             FunctionSpec spec, Result<Table> result,
                             std::chrono::steady_clock::time_point started,
                             bool is_final) {
-  fao::MorselOptions morsels;
-  morsels.morsel_size = options_.morsel_size;
-  morsels.pool = ctx->exec_pool;
-
   // Syntactic-repair loop over the first evaluation's outcome; repaired
   // specs re-evaluate synchronously (a repair changes the spec, so its
   // fingerprints no longer coalesce with in-flight twins anyway).
@@ -327,7 +306,7 @@ Status Executor::FinishNode(const opt::PhysicalNode& node,
           spec, monitor_.RepairSyntactic(spec, result.status(), ctx));
     }
     ++run->repair_attempts;
-    result = fao::EvaluateWithMorsels(spec, inputs, ctx, morsels);
+    result = fao::EvaluateWithMorsels(spec, inputs, ctx, Morsels(ctx));
   }
   auto t1 = std::chrono::steady_clock::now();
   run->runtime_ms =
@@ -445,8 +424,8 @@ Result<ExecutionReport> Executor::Run(const opt::PhysicalPlan& plan,
       plan, sched,
       [this, &plan, ctx, &report, &outputs, final_idx](
           size_t idx, DagScheduler::DoneFn done) {
-        RunNodeAsync(plan.nodes[idx], ctx, &report.node_runs[idx],
-                     &outputs[idx], idx == final_idx, std::move(done));
+        RunNode(plan.nodes[idx], ctx, &report.node_runs[idx], &outputs[idx],
+                idx == final_idx, std::move(done));
       }));
 
   TablePtr final_table;

@@ -167,29 +167,28 @@ class Executor {
                               fao::ExecContext* ctx);
 
  private:
-  /// Executes one plan node end to end: resolve inputs, evaluate with
-  /// the repair loop (morsel-partitioned for row-wise functions), dedup
-  /// exactly once, record lineage, monitor the output, upsert into the
-  /// catalog. Safe to call from concurrent node tasks of one plan.
-  /// `is_final` marks the node producing the plan's final output (it
-  /// feeds the progress sink's streamed chunks).
-  Status RunNode(const opt::PhysicalNode& node, fao::ExecContext* ctx,
-                 NodeRun* run, rel::TablePtr* out, bool is_final);
+  /// Executes one plan node end to end and reports through `done`:
+  /// resolve inputs, evaluate with the repair loop (morsel-partitioned
+  /// for row-wise functions), dedup exactly once, record lineage, monitor
+  /// the output, upsert into the catalog. Safe to call from concurrent
+  /// node tasks of one plan. `is_final` marks the node producing the
+  /// plan's final output (it feeds the progress sink's streamed chunks).
+  /// Without batching `done` fires inline. With batching, the node's
+  /// first evaluation goes through fao::EvaluateBatched: the NodeRun
+  /// state parks in the completion callback, the calling worker returns
+  /// to the pool, and the finish tail resumes on ctx->exec_pool when the
+  /// batch lands (inline on the completing thread if the pool refuses).
+  /// In sequential mode (budget 1 / no pool) the batch is awaited on the
+  /// calling thread instead — cross-query coalescing still applies, only
+  /// this query blocks.
+  void RunNode(const opt::PhysicalNode& node, fao::ExecContext* ctx,
+               NodeRun* run, rel::TablePtr* out, bool is_final,
+               DagScheduler::DoneFn done);
 
-  /// Continuation-style RunNode used under the DAG scheduler's async
-  /// path. Without batching this is RunNode with an inline `done`. With
-  /// batching, the node's first evaluation goes through
-  /// fao::EvaluateBatched: the NodeRun state parks in the completion
-  /// callback, the calling worker returns to the pool, and the finish
-  /// tail resumes on ctx->exec_pool when the batch lands (inline on the
-  /// completing thread if the pool refuses). In sequential mode (budget
-  /// 1 / no pool) the batch is awaited on the calling thread instead —
-  /// cross-query coalescing still applies, only this query blocks.
-  void RunNodeAsync(const opt::PhysicalNode& node, fao::ExecContext* ctx,
-                    NodeRun* run, rel::TablePtr* out, bool is_final,
-                    DagScheduler::DoneFn done);
+  /// Morsel knobs of this executor's options over ctx->exec_pool.
+  fao::MorselOptions Morsels(const fao::ExecContext* ctx) const;
 
-  /// Shared tail of both paths, starting from the first evaluation's
+  /// Shared tail of RunNode's paths, starting from the first evaluation's
   /// result: syntactic-repair loop (re-evaluations run synchronously),
   /// dedup, lineage recording, semantic monitoring, catalog upsert.
   Status FinishNode(const opt::PhysicalNode& node, fao::ExecContext* ctx,

@@ -1,15 +1,11 @@
 #include "fao/function.h"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <optional>
-#include <set>
-#include <thread>
 
 #include "common/hash.h"
-#include "common/strings.h"
 #include "llm/batch_scheduler.h"
 #include "sql/engine.h"
 
@@ -68,6 +64,169 @@ Status RequireInputs(const std::vector<TablePtr>& inputs, size_t n,
   return Status::OK();
 }
 
+/// The output of every row-wise body: each input row (cells and lineage
+/// id, in order) followed by the cells `fill` appends for it, under the
+/// input's name. The first error `fill` returns aborts the table.
+Result<Table> AppendColumns(
+    const Table& in,
+    const std::vector<std::pair<std::string, DataType>>& extra_cols,
+    const std::function<Status(size_t r, Row* row)>& fill) {
+  Schema schema = in.schema();
+  for (const auto& [name, type] : extra_cols) schema.AddColumn(name, type);
+  Table out(in.name(), schema);
+  for (size_t r = 0; r < in.num_rows(); ++r) {
+    Row row = in.row(r);
+    KATHDB_RETURN_IF_ERROR(fill(r, &row));
+    out.AppendRow(std::move(row), in.row_lid(r));
+  }
+  return out;
+}
+
+// ------------------------------------------------------------- kernels
+
+/// Keyword-similarity kernel of keyword_similarity_{score,cached} and
+/// fused_scores: every entity token of a document takes its best cosine
+/// against the keyword set; tokens above `threshold` add their squared
+/// relative margin, squashed to 1 - exp(-sharpness * hits). With
+/// `memoize` each distinct token's best cosine is cached across rows, so
+/// it is embedded once — identical scores, less embedding work.
+class KeywordScorer {
+ public:
+  KeywordScorer(const Json& params, const ExecContext& ctx, bool memoize)
+      : ctx_(ctx),
+        embedder_(ctx.embedder != nullptr ? *ctx.embedder
+                                          : DefaultEmbedder()),
+        threshold_(params.GetDouble("threshold", 0.60)),
+        sharpness_(params.GetDouble("sharpness", 2.0)),
+        memoize_(memoize) {
+    if (params.Has("keywords")) {
+      for (const Json& k : params.Get("keywords").items()) {
+        keywords_.push_back(embedder_.EmbedToken(k.AsString()));
+      }
+    }
+  }
+
+  Status Check(const std::string& fn) const {
+    if (!keywords_.empty()) return Status::OK();
+    return Status::SyntacticError("function " + fn + ": empty keyword list");
+  }
+
+  double Score(int64_t did) {
+    double hits = 0.0;
+    auto tokens = mm::EntityTokensOf(did, *ctx_.catalog, ctx_.text_views);
+    if (tokens.ok()) {
+      for (const auto& tok : tokens.value()) {
+        double best = BestCosine(tok);
+        if (best > threshold_) {
+          double rel = (best - threshold_) / (1.0 - threshold_);
+          hits += rel * rel;
+        }
+      }
+    }
+    return 1.0 - std::exp(-sharpness_ * hits);
+  }
+
+ private:
+  float BestCosine(const std::string& tok) {
+    if (memoize_) {
+      auto it = memo_.find(tok);
+      if (it != memo_.end()) return it->second;
+    }
+    vec::Embedding te = embedder_.EmbedToken(tok);
+    float best = 0.0f;
+    for (const auto& kv : keywords_) {
+      best = std::max(best, vec::CosineSimilarity(te, kv));
+    }
+    if (memoize_) memo_[tok] = best;
+    return best;
+  }
+
+  const ExecContext& ctx_;
+  const vec::TextEmbedder& embedder_;
+  double threshold_;
+  double sharpness_;
+  bool memoize_;
+  std::vector<vec::Embedding> keywords_;
+  std::map<std::string, float> memo_;  // token -> max keyword cosine
+};
+
+/// Recency kernel of recency_score and fused_scores: the year scaled
+/// into [min_year, max_year] and clamped to [0, 1]. direction -1 is the
+/// reversed (buggy) implementation the critic must catch during semantic
+/// verification (paper, Section 4).
+struct RecencyRule {
+  explicit RecencyRule(const Json& params)
+      : min_year(params.GetDouble("min_year", 1950)),
+        max_year(params.GetDouble("max_year", 2026)),
+        direction(params.GetDouble("direction", 1.0)) {}
+
+  double Score(double year) const {
+    double s = (year - min_year) / std::max(1.0, max_year - min_year);
+    s = std::min(1.0, std::max(0.0, s));
+    return direction < 0 ? 1.0 - s : s;
+  }
+
+  double min_year;
+  double max_year;
+  double direction;
+};
+
+/// Thresholds and rules of the classify_boring family: a poster is
+/// boring when its colours are flat, it holds at most `max_objects`
+/// objects and none of them is action content.
+struct BoringRule {
+  explicit BoringRule(const Json& params)
+      : var_threshold(params.GetDouble("variance_threshold", 0.055)),
+        max_objects(params.GetInt("max_objects", 4)),
+        margin(params.GetDouble("margin", 0.015)),
+        vision_tokens(static_cast<int>(
+            params.GetInt("vision_tokens_per_image", 420))),
+        latency_ms(params.GetDouble("latency_ms_per_image", 0.0)) {}
+
+  /// The cheap rule, over the poster's scene-graph statistics.
+  bool FromStats(const mm::FrameSceneStats& stats) const {
+    return stats.color_variance < var_threshold &&
+           stats.num_objects <= max_objects && stats.num_action_objects == 0;
+  }
+
+  /// The expensive rule: one metered vision-model call over the raw
+  /// poster, reading its ground-truth latent content.
+  Result<bool> FromPixels(int64_t vid, ExecContext* ctx,
+                          const std::string& fn) const {
+    static const vec::ConceptLexicon lexicon = vec::ConceptLexicon::BuiltIn();
+    if (ctx->images == nullptr || ctx->image_loader == nullptr) {
+      return Status::SyntacticError(
+          "function " + fn +
+          ": pixel analysis requires an image store and loader");
+    }
+    KATHDB_ASSIGN_OR_RETURN(mm::SyntheticImage raw, ctx->images->Get(vid));
+    // The decode is where unsupported formats (HEIC) surface as
+    // syntactic faults for the monitor to repair.
+    KATHDB_ASSIGN_OR_RETURN(mm::SyntheticImage img,
+                            ctx->image_loader->Decode(raw));
+    SimulateModelLatency(ctx, latency_ms);
+    if (ctx->meter != nullptr) {
+      ctx->meter->Record(vision, vision_tokens, vision_tokens / 6);
+    }
+    int action_objects = 0;
+    for (const auto& o : img.objects) {
+      std::string concept_name = lexicon.ConceptOf(o.cls);
+      if (concept_name == "action" || concept_name == "violence") {
+        ++action_objects;
+      }
+    }
+    return img.color_variance < var_threshold && action_objects == 0 &&
+           static_cast<int64_t>(img.objects.size()) <= max_objects;
+  }
+
+  double var_threshold;
+  int64_t max_objects;
+  double margin;  ///< cascade: escalate rows this close to the threshold
+  int vision_tokens;
+  double latency_ms;
+  llm::ModelSpec vision = llm::KathVisionSpec();
+};
+
 // ------------------------------------------------------------------- sql
 class SqlFunction : public PhysicalFunction {
  public:
@@ -108,6 +267,10 @@ class SqlFunction : public PhysicalFunction {
 };
 
 // --------------------------------------------------- keyword similarity
+/// keyword_similarity_score and keyword_similarity_cached: two physical
+/// implementations of one logical operator with one body. The cached
+/// template memoizes per distinct token — same scores at a fraction of
+/// the embedding work, the optimizer's runtime-based physical choice.
 class KeywordSimilarityFunction : public PhysicalFunction {
  public:
   using PhysicalFunction::PhysicalFunction;
@@ -116,132 +279,20 @@ class KeywordSimilarityFunction : public PhysicalFunction {
                         ExecContext* ctx) override {
     KATHDB_RETURN_IF_ERROR(RequireInputs(inputs, 1, spec_.name));
     const Table& in = *inputs[0];
+    KeywordScorer scorer(spec_.params, *ctx,
+                         spec_.template_id == "keyword_similarity_cached");
+    KATHDB_RETURN_IF_ERROR(scorer.Check(spec_.name));
     std::string did_col = spec_.params.GetString("did_column", "did");
-    std::string out_col =
-        spec_.params.GetString("output_column", "excitement_score");
-    double threshold = spec_.params.GetDouble("threshold", 0.60);
-    double sharpness = spec_.params.GetDouble("sharpness", 2.0);
-    std::vector<std::string> keywords;
-    if (spec_.params.Has("keywords")) {
-      for (const Json& k : spec_.params.Get("keywords").items()) {
-        keywords.push_back(k.AsString());
-      }
-    }
-    if (keywords.empty()) {
-      return Status::SyntacticError("function " + spec_.name +
-                                    ": empty keyword list");
-    }
-    KATHDB_ASSIGN_OR_RETURN(size_t didx, RequireColumn(in, did_col,
-                                                       spec_.name));
-    const vec::TextEmbedder& embedder =
-        ctx->embedder != nullptr ? *ctx->embedder : DefaultEmbedder();
-
-    std::vector<vec::Embedding> kvecs;
-    kvecs.reserve(keywords.size());
-    for (const auto& k : keywords) kvecs.push_back(embedder.EmbedToken(k));
-
-    Schema schema = in.schema();
-    schema.AddColumn(out_col, DataType::kDouble);
-    Table out(spec_.params.GetString("output_name", in.name()), schema);
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      int64_t did = in.at(r, didx).AsInt();
-      auto tokens = mm::EntityTokensOf(did, *ctx->catalog, ctx->text_views);
-      double hits = 0.0;
-      if (tokens.ok()) {
-        for (const auto& tok : tokens.value()) {
-          vec::Embedding te = embedder.EmbedToken(tok);
-          float best = 0.0f;
-          for (const auto& kv : kvecs) {
-            float s = vec::CosineSimilarity(te, kv);
-            if (s > best) best = s;
-          }
-          if (best > threshold) {
-            double rel = (best - threshold) / (1.0 - threshold);
-            hits += rel * rel;
-          }
-        }
-      }
-      double score = 1.0 - std::exp(-sharpness * hits);
-      Row row = in.row(r);
-      row.push_back(Value::Double(score));
-      out.AppendRow(std::move(row), in.row_lid(r));
-    }
-    return out;
-  }
-};
-
-// ----------------------------------------- keyword similarity (cached)
-/// Alternative physical implementation of the same logical operator: a
-/// per-distinct-token similarity cache is built across rows, so each
-/// token is embedded and compared against the keyword set exactly once.
-/// Produces identical scores to KeywordSimilarityFunction at a fraction
-/// of the embedding work — the optimizer's runtime-based physical choice.
-class KeywordSimilarityCachedFunction : public PhysicalFunction {
- public:
-  using PhysicalFunction::PhysicalFunction;
-
-  Result<Table> Execute(const std::vector<TablePtr>& inputs,
-                        ExecContext* ctx) override {
-    KATHDB_RETURN_IF_ERROR(RequireInputs(inputs, 1, spec_.name));
-    const Table& in = *inputs[0];
-    std::string did_col = spec_.params.GetString("did_column", "did");
-    std::string out_col =
-        spec_.params.GetString("output_column", "excitement_score");
-    double threshold = spec_.params.GetDouble("threshold", 0.60);
-    double sharpness = spec_.params.GetDouble("sharpness", 2.0);
-    std::vector<std::string> keywords;
-    if (spec_.params.Has("keywords")) {
-      for (const Json& k : spec_.params.Get("keywords").items()) {
-        keywords.push_back(k.AsString());
-      }
-    }
-    if (keywords.empty()) {
-      return Status::SyntacticError("function " + spec_.name +
-                                    ": empty keyword list");
-    }
     KATHDB_ASSIGN_OR_RETURN(size_t didx,
                             RequireColumn(in, did_col, spec_.name));
-    const vec::TextEmbedder& embedder =
-        ctx->embedder != nullptr ? *ctx->embedder : DefaultEmbedder();
-    std::vector<vec::Embedding> kvecs;
-    kvecs.reserve(keywords.size());
-    for (const auto& k : keywords) kvecs.push_back(embedder.EmbedToken(k));
-
-    std::map<std::string, double> best_sim;  // token -> max keyword cosine
-    auto token_score = [&](const std::string& tok) {
-      auto it = best_sim.find(tok);
-      if (it != best_sim.end()) return it->second;
-      vec::Embedding te = embedder.EmbedToken(tok);
-      float best = 0.0f;
-      for (const auto& kv : kvecs) {
-        float s = vec::CosineSimilarity(te, kv);
-        if (s > best) best = s;
-      }
-      best_sim[tok] = best;
-      return static_cast<double>(best);
-    };
-
-    Schema schema = in.schema();
-    schema.AddColumn(out_col, DataType::kDouble);
-    Table out(in.name(), schema);
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      int64_t did = in.at(r, didx).AsInt();
-      double hits = 0.0;
-      auto tokens = mm::EntityTokensOf(did, *ctx->catalog, ctx->text_views);
-      if (tokens.ok()) {
-        for (const auto& tok : tokens.value()) {
-          double best = token_score(tok);
-          if (best > threshold) {
-            double rel = (best - threshold) / (1.0 - threshold);
-            hits += rel * rel;
-          }
-        }
-      }
-      Row row = in.row(r);
-      row.push_back(Value::Double(1.0 - std::exp(-sharpness * hits)));
-      out.AppendRow(std::move(row), in.row_lid(r));
-    }
-    return out;
+    std::string out_col =
+        spec_.params.GetString("output_column", "excitement_score");
+    return AppendColumns(in, {{out_col, DataType::kDouble}},
+                         [&](size_t r, Row* row) {
+                           int64_t did = in.at(r, didx).AsInt();
+                           row->push_back(Value::Double(scorer.Score(did)));
+                           return Status::OK();
+                         });
   }
 };
 
@@ -255,29 +306,18 @@ class RecencyScoreFunction : public PhysicalFunction {
     (void)ctx;
     KATHDB_RETURN_IF_ERROR(RequireInputs(inputs, 1, spec_.name));
     const Table& in = *inputs[0];
+    RecencyRule rule(spec_.params);
     std::string year_col = spec_.params.GetString("year_column", "year");
-    std::string out_col =
-        spec_.params.GetString("output_column", "recency_score");
-    double min_year = spec_.params.GetDouble("min_year", 1950);
-    double max_year = spec_.params.GetDouble("max_year", 2026);
-    // direction -1 is the reversed (buggy) implementation the critic must
-    // catch during semantic verification (paper, Section 4).
-    double direction = spec_.params.GetDouble("direction", 1.0);
     KATHDB_ASSIGN_OR_RETURN(size_t yidx,
                             RequireColumn(in, year_col, spec_.name));
-    Schema schema = in.schema();
-    schema.AddColumn(out_col, DataType::kDouble);
-    Table out(in.name(), schema);
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      double y = in.at(r, yidx).AsDouble();
-      double s = (y - min_year) / std::max(1.0, max_year - min_year);
-      s = std::min(1.0, std::max(0.0, s));
-      if (direction < 0) s = 1.0 - s;
-      Row row = in.row(r);
-      row.push_back(Value::Double(s));
-      out.AppendRow(std::move(row), in.row_lid(r));
-    }
-    return out;
+    std::string out_col =
+        spec_.params.GetString("output_column", "recency_score");
+    return AppendColumns(in, {{out_col, DataType::kDouble}},
+                         [&](size_t r, Row* row) {
+                           double y = in.at(r, yidx).AsDouble();
+                           row->push_back(Value::Double(rule.Score(y)));
+                           return Status::OK();
+                         });
   }
 };
 
@@ -291,8 +331,6 @@ class CombineScoresFunction : public PhysicalFunction {
     (void)ctx;
     KATHDB_RETURN_IF_ERROR(RequireInputs(inputs, 1, spec_.name));
     const Table& in = *inputs[0];
-    std::string out_col =
-        spec_.params.GetString("output_column", "final_score");
     if (!spec_.params.Has("terms") ||
         spec_.params.Get("terms").size() == 0) {
       return Status::SyntacticError("function " + spec_.name +
@@ -304,191 +342,72 @@ class CombineScoresFunction : public PhysicalFunction {
       KATHDB_ASSIGN_OR_RETURN(size_t idx, RequireColumn(in, col, spec_.name));
       terms.emplace_back(idx, t.GetDouble("weight", 1.0));
     }
-    Schema schema = in.schema();
-    schema.AddColumn(out_col, DataType::kDouble);
-    Table out(in.name(), schema);
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      double sum = 0.0;
-      for (const auto& [idx, w] : terms) {
-        sum += w * in.at(r, idx).AsDouble();
-      }
-      Row row = in.row(r);
-      row.push_back(Value::Double(sum));
-      out.AppendRow(std::move(row), in.row_lid(r));
-    }
-    return out;
+    std::string out_col =
+        spec_.params.GetString("output_column", "final_score");
+    return AppendColumns(in, {{out_col, DataType::kDouble}},
+                         [&](size_t r, Row* row) {
+                           double sum = 0.0;
+                           for (const auto& [idx, w] : terms) {
+                             sum += w * in.at(r, idx).AsDouble();
+                           }
+                           row->push_back(Value::Double(sum));
+                           return Status::OK();
+                         });
   }
 };
 
-// ----------------------------------------------- classify_boring (stats)
-class ClassifyBoringStatsFunction : public PhysicalFunction {
+// ------------------------------------------------------- classify_boring
+/// classify_boring_{stats,pixels,cascade}: one body, three costs. Stats
+/// applies the cheap rule to every row, pixels the vision model to every
+/// row, and the cascade the cheap rule except on rows whose colour
+/// variance lies within `margin` of the threshold, which it escalates to
+/// the vision model.
+class ClassifyBoringFunction : public PhysicalFunction {
  public:
-  using PhysicalFunction::PhysicalFunction;
+  explicit ClassifyBoringFunction(FunctionSpec spec)
+      : PhysicalFunction(std::move(spec)),
+        pixels_(spec_.template_id == "classify_boring_pixels"),
+        cascade_(spec_.template_id == "classify_boring_cascade") {}
 
   Result<Table> Execute(const std::vector<TablePtr>& inputs,
                         ExecContext* ctx) override {
     KATHDB_RETURN_IF_ERROR(RequireInputs(inputs, 1, spec_.name));
     const Table& in = *inputs[0];
+    BoringRule rule(spec_.params);
     std::string vid_col = spec_.params.GetString("vid_column", "vid");
-    std::string out_col =
-        spec_.params.GetString("output_column", "boring_poster");
-    double var_threshold =
-        spec_.params.GetDouble("variance_threshold", 0.055);
-    int64_t max_objects = spec_.params.GetInt("max_objects", 4);
     KATHDB_ASSIGN_OR_RETURN(size_t vidx,
                             RequireColumn(in, vid_col, spec_.name));
-    Schema schema = in.schema();
-    schema.AddColumn(out_col, DataType::kBool);
-    Table out(in.name(), schema);
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      int64_t vid = in.at(r, vidx).AsInt();
-      KATHDB_ASSIGN_OR_RETURN(
-          mm::FrameSceneStats stats,
-          mm::ComputeFrameStats(vid, 0, *ctx->catalog, ctx->scene_views));
-      bool boring = stats.color_variance < var_threshold &&
-                    stats.num_objects <= max_objects &&
-                    stats.num_action_objects == 0;
-      Row row = in.row(r);
-      row.push_back(Value::Bool(boring));
-      out.AppendRow(std::move(row), in.row_lid(r));
-    }
-    return out;
-  }
-};
-
-// ---------------------------------------------- classify_boring (pixels)
-class ClassifyBoringPixelsFunction : public PhysicalFunction {
- public:
-  using PhysicalFunction::PhysicalFunction;
-
-  Result<Table> Execute(const std::vector<TablePtr>& inputs,
-                        ExecContext* ctx) override {
-    KATHDB_RETURN_IF_ERROR(RequireInputs(inputs, 1, spec_.name));
-    if (ctx->images == nullptr || ctx->image_loader == nullptr) {
-      return Status::SyntacticError(
-          "function " + spec_.name +
-          ": pixel analysis requires an image store and loader");
-    }
-    const Table& in = *inputs[0];
-    std::string vid_col = spec_.params.GetString("vid_column", "vid");
     std::string out_col =
         spec_.params.GetString("output_column", "boring_poster");
-    double var_threshold =
-        spec_.params.GetDouble("variance_threshold", 0.055);
-    int vision_tokens = static_cast<int>(
-        spec_.params.GetInt("vision_tokens_per_image", 420));
-    double latency_ms = spec_.params.GetDouble("latency_ms_per_image", 0.0);
-    KATHDB_ASSIGN_OR_RETURN(size_t vidx,
-                            RequireColumn(in, vid_col, spec_.name));
-    static const vec::ConceptLexicon lexicon = vec::ConceptLexicon::BuiltIn();
-    llm::ModelSpec vision = llm::KathVisionSpec();
-
-    Schema schema = in.schema();
-    schema.AddColumn(out_col, DataType::kBool);
-    Table out(in.name(), schema);
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      int64_t vid = in.at(r, vidx).AsInt();
-      KATHDB_ASSIGN_OR_RETURN(mm::SyntheticImage raw, ctx->images->Get(vid));
-      // The decode is where unsupported formats (HEIC) surface as
-      // syntactic faults for the monitor to repair.
-      KATHDB_ASSIGN_OR_RETURN(mm::SyntheticImage img,
-                              ctx->image_loader->Decode(raw));
-      SimulateModelLatency(ctx, latency_ms);
-      if (ctx->meter != nullptr) {
-        ctx->meter->Record(vision, vision_tokens, vision_tokens / 6);
-      }
-      // Pixel-level analysis reads the ground-truth latent content: this
-      // is the high-accuracy, high-cost implementation.
-      int action_objects = 0;
-      for (const auto& o : img.objects) {
-        std::string concept_name = lexicon.ConceptOf(o.cls);
-        if (concept_name == "action" || concept_name == "violence") ++action_objects;
-      }
-      bool boring = img.color_variance < var_threshold &&
-                    action_objects == 0 &&
-                    img.objects.size() <= 4;
-      Row row = in.row(r);
-      row.push_back(Value::Bool(boring));
-      out.AppendRow(std::move(row), in.row_lid(r));
-    }
-    return out;
+    return AppendColumns(
+        in, {{out_col, DataType::kBool}}, [&](size_t r, Row* row) -> Status {
+          int64_t vid = in.at(r, vidx).AsInt();
+          bool boring = false;
+          if (pixels_) {
+            KATHDB_ASSIGN_OR_RETURN(boring,
+                                    rule.FromPixels(vid, ctx, spec_.name));
+          } else {
+            KATHDB_ASSIGN_OR_RETURN(
+                mm::FrameSceneStats stats,
+                mm::ComputeFrameStats(vid, 0, *ctx->catalog,
+                                      ctx->scene_views));
+            bool confident = std::abs(stats.color_variance -
+                                      rule.var_threshold) >= rule.margin;
+            if (cascade_ && !confident) {
+              KATHDB_ASSIGN_OR_RETURN(boring,
+                                      rule.FromPixels(vid, ctx, spec_.name));
+            } else {
+              boring = rule.FromStats(stats);
+            }
+          }
+          row->push_back(Value::Bool(boring));
+          return Status::OK();
+        });
   }
-};
-
-// --------------------------------------------- classify_boring (cascade)
-class ClassifyBoringCascadeFunction : public PhysicalFunction {
- public:
-  using PhysicalFunction::PhysicalFunction;
-
-  Result<Table> Execute(const std::vector<TablePtr>& inputs,
-                        ExecContext* ctx) override {
-    KATHDB_RETURN_IF_ERROR(RequireInputs(inputs, 1, spec_.name));
-    const Table& in = *inputs[0];
-    std::string vid_col = spec_.params.GetString("vid_column", "vid");
-    std::string out_col =
-        spec_.params.GetString("output_column", "boring_poster");
-    double var_threshold =
-        spec_.params.GetDouble("variance_threshold", 0.055);
-    double margin = spec_.params.GetDouble("margin", 0.015);
-    int64_t max_objects = spec_.params.GetInt("max_objects", 4);
-    int vision_tokens = static_cast<int>(
-        spec_.params.GetInt("vision_tokens_per_image", 420));
-    KATHDB_ASSIGN_OR_RETURN(size_t vidx,
-                            RequireColumn(in, vid_col, spec_.name));
-    static const vec::ConceptLexicon lexicon = vec::ConceptLexicon::BuiltIn();
-    llm::ModelSpec vision = llm::KathVisionSpec();
-
-    Schema schema = in.schema();
-    schema.AddColumn(out_col, DataType::kBool);
-    Table out(in.name(), schema);
-    escalations_ = 0;
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      int64_t vid = in.at(r, vidx).AsInt();
-      KATHDB_ASSIGN_OR_RETURN(
-          mm::FrameSceneStats stats,
-          mm::ComputeFrameStats(vid, 0, *ctx->catalog, ctx->scene_views));
-      bool boring;
-      bool confident =
-          std::abs(stats.color_variance - var_threshold) >= margin;
-      if (confident) {
-        boring = stats.color_variance < var_threshold &&
-                 stats.num_objects <= max_objects &&
-                 stats.num_action_objects == 0;
-      } else {
-        // Uncertain: escalate this row to the expensive pixel model.
-        ++escalations_;
-        if (ctx->images == nullptr || ctx->image_loader == nullptr) {
-          return Status::SyntacticError(spec_.name +
-                                        ": cascade escalation needs images");
-        }
-        KATHDB_ASSIGN_OR_RETURN(mm::SyntheticImage raw,
-                                ctx->images->Get(vid));
-        KATHDB_ASSIGN_OR_RETURN(mm::SyntheticImage img,
-                                ctx->image_loader->Decode(raw));
-        SimulateModelLatency(
-            ctx, spec_.params.GetDouble("latency_ms_per_image", 0.0));
-        if (ctx->meter != nullptr) {
-          ctx->meter->Record(vision, vision_tokens, vision_tokens / 6);
-        }
-        int action_objects = 0;
-        for (const auto& o : img.objects) {
-          std::string concept_name = lexicon.ConceptOf(o.cls);
-          if (concept_name == "action" || concept_name == "violence") ++action_objects;
-        }
-        boring = img.color_variance < var_threshold && action_objects == 0 &&
-                 img.objects.size() <= 4;
-      }
-      Row row = in.row(r);
-      row.push_back(Value::Bool(boring));
-      out.AppendRow(std::move(row), in.row_lid(r));
-    }
-    return out;
-  }
-
-  int64_t escalations() const { return escalations_; }
 
  private:
-  int64_t escalations_ = 0;
+  bool pixels_;
+  bool cascade_;
 };
 
 // ----------------------------------------------------------- fused_scores
@@ -512,78 +431,85 @@ class FusedScoresFunction : public PhysicalFunction {
       return Status::SyntacticError(
           spec_.name + ": fused_scores needs excitement/recency/combine");
     }
-    std::string did_col = ex.GetString("did_column", "did");
-    std::string year_col = re.GetString("year_column", "year");
-    double threshold = ex.GetDouble("threshold", 0.60);
-    double sharpness = ex.GetDouble("sharpness", 2.0);
-    double min_year = re.GetDouble("min_year", 1950);
-    double max_year = re.GetDouble("max_year", 2026);
+    KeywordScorer scorer(ex, *ctx, /*memoize=*/false);
+    KATHDB_RETURN_IF_ERROR(scorer.Check(spec_.name));
+    RecencyRule recency(re);
     double w_ex = co.GetDouble("excitement_weight", 0.7);
     double w_re = co.GetDouble("recency_weight", 0.3);
-    std::vector<std::string> keywords;
-    for (const Json& k : ex.Get("keywords").items()) {
-      keywords.push_back(k.AsString());
-    }
-    if (keywords.empty()) {
-      return Status::SyntacticError(spec_.name + ": empty keyword list");
-    }
-    KATHDB_ASSIGN_OR_RETURN(size_t didx,
-                            RequireColumn(in, did_col, spec_.name));
-    KATHDB_ASSIGN_OR_RETURN(size_t yidx,
-                            RequireColumn(in, year_col, spec_.name));
-    const vec::TextEmbedder& embedder =
-        ctx->embedder != nullptr ? *ctx->embedder : DefaultEmbedder();
-    std::vector<vec::Embedding> kvecs;
-    for (const auto& k : keywords) kvecs.push_back(embedder.EmbedToken(k));
-
-    Schema schema = in.schema();
-    schema.AddColumn("excitement_score", DataType::kDouble);
-    schema.AddColumn("recency_score", DataType::kDouble);
-    schema.AddColumn("final_score", DataType::kDouble);
-    Table out(in.name(), schema);
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      int64_t did = in.at(r, didx).AsInt();
-      double hits = 0.0;
-      auto tokens = mm::EntityTokensOf(did, *ctx->catalog, ctx->text_views);
-      if (tokens.ok()) {
-        for (const auto& tok : tokens.value()) {
-          vec::Embedding te = embedder.EmbedToken(tok);
-          float best = 0.0f;
-          for (const auto& kv : kvecs) {
-            float s = vec::CosineSimilarity(te, kv);
-            if (s > best) best = s;
-          }
-          if (best > threshold) {
-            double rel = (best - threshold) / (1.0 - threshold);
-            hits += rel * rel;
-          }
-        }
-      }
-      double excitement = 1.0 - std::exp(-sharpness * hits);
-      double y = in.at(r, yidx).AsDouble();
-      double recency = std::min(
-          1.0, std::max(0.0, (y - min_year) / std::max(1.0,
-                                                       max_year - min_year)));
-      double final_score = w_ex * excitement + w_re * recency;
-      Row row = in.row(r);
-      row.push_back(Value::Double(excitement));
-      row.push_back(Value::Double(recency));
-      row.push_back(Value::Double(final_score));
-      out.AppendRow(std::move(row), in.row_lid(r));
-    }
-    return out;
+    KATHDB_ASSIGN_OR_RETURN(
+        size_t didx,
+        RequireColumn(in, ex.GetString("did_column", "did"), spec_.name));
+    KATHDB_ASSIGN_OR_RETURN(
+        size_t yidx,
+        RequireColumn(in, re.GetString("year_column", "year"), spec_.name));
+    return AppendColumns(
+        in,
+        {{"excitement_score", DataType::kDouble},
+         {"recency_score", DataType::kDouble},
+         {"final_score", DataType::kDouble}},
+        [&](size_t r, Row* row) {
+          double excitement = scorer.Score(in.at(r, didx).AsInt());
+          double rec = recency.Score(in.at(r, yidx).AsDouble());
+          row->push_back(Value::Double(excitement));
+          row->push_back(Value::Double(rec));
+          row->push_back(Value::Double(w_ex * excitement + w_re * rec));
+          return Status::OK();
+        });
   }
 };
 
+// -------------------------------------------------------- template table
+template <typename Fn>
+std::unique_ptr<PhysicalFunction> Make(const FunctionSpec& spec) {
+  return std::make_unique<Fn>(spec);
+}
+
+/// Every template the interpreter knows: its factory, and whether it is
+/// pure (see IsPureTemplate).
+struct TemplateEntry {
+  const char* id;
+  std::unique_ptr<PhysicalFunction> (*make)(const FunctionSpec&);
+  bool pure;
+};
+
+constexpr TemplateEntry kTemplates[] = {
+    {"sql", Make<SqlFunction>, false},
+    {"keyword_similarity_score", Make<KeywordSimilarityFunction>, true},
+    {"keyword_similarity_cached", Make<KeywordSimilarityFunction>, true},
+    {"recency_score", Make<RecencyScoreFunction>, true},
+    {"combine_scores", Make<CombineScoresFunction>, true},
+    {"classify_boring_stats", Make<ClassifyBoringFunction>, true},
+    {"classify_boring_pixels", Make<ClassifyBoringFunction>, true},
+    {"classify_boring_cascade", Make<ClassifyBoringFunction>, true},
+    {"fused_scores", Make<FusedScoresFunction>, true},
+};
+
+const TemplateEntry* FindTemplate(const std::string& template_id) {
+  for (const TemplateEntry& t : kTemplates) {
+    if (template_id == t.id) return &t;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-bool PhysicalFunction::IsCacheableTemplate(const std::string& template_id) {
-  static const std::set<std::string> kPure = {
-      "keyword_similarity_score", "keyword_similarity_cached",
-      "recency_score",            "combine_scores",
-      "classify_boring_stats",    "classify_boring_pixels",
-      "classify_boring_cascade",  "fused_scores"};
-  return kPure.count(template_id) > 0;
+Result<std::unique_ptr<PhysicalFunction>> InstantiateFunction(
+    const FunctionSpec& spec) {
+  const TemplateEntry* t = FindTemplate(spec.template_id);
+  if (t == nullptr) {
+    return Status::InvalidArgument("unknown function template '" +
+                                   spec.template_id + "'");
+  }
+  return t->make(spec);
+}
+
+bool IsKnownTemplate(const std::string& template_id) {
+  return FindTemplate(template_id) != nullptr;
+}
+
+bool IsPureTemplate(const std::string& template_id) {
+  const TemplateEntry* t = FindTemplate(template_id);
+  return t != nullptr && t->pure;
 }
 
 uint64_t PhysicalFunction::SpecFingerprint() const {
@@ -593,43 +519,82 @@ uint64_t PhysicalFunction::SpecFingerprint() const {
   return h;
 }
 
+namespace {
+
+/// The result-cache (and batch) key of one evaluation: spec fingerprint
+/// x input-content fingerprint.
+uint64_t CacheKey(uint64_t spec_fp, const std::vector<TablePtr>& inputs) {
+  return common::HashCombine(spec_fp, service::FingerprintTables(inputs));
+}
+
+/// The memoized table under `key`, copied out: callers rename the result
+/// and rewrite its lineage ids; the shared cached table stays immutable.
+std::optional<Table> CacheGet(service::ResultCache* cache, uint64_t key) {
+  if (cache == nullptr) return std::nullopt;
+  auto hit = cache->Get(key);
+  if (!hit.has_value() || hit->table == nullptr) return std::nullopt;
+  return *hit->table;
+}
+
+/// The row-morsel partition shared by EvaluateWithMorsels and
+/// EvaluateBatched, as one input list per partition. A pure template
+/// with a one_to_one/one_to_many pattern and a single input longer than
+/// `morsel_size` is cut into morsel_size-row slices; anything else is
+/// one partition holding `inputs`. The split depends on morsel_size
+/// only, so per-partition cache keys and batch fingerprints agree across
+/// both paths and any worker count.
+std::vector<std::vector<TablePtr>> Partition(
+    const FunctionSpec& spec, const std::vector<TablePtr>& inputs,
+    size_t morsel_size) {
+  bool narrow = spec.dependency_pattern == "one_to_one" ||
+                spec.dependency_pattern == "one_to_many";
+  bool splittable = morsel_size > 0 && narrow && inputs.size() == 1 &&
+                    inputs[0] != nullptr && IsPureTemplate(spec.template_id) &&
+                    inputs[0]->num_rows() > morsel_size;
+  if (!splittable) return {inputs};
+  const Table& in = *inputs[0];
+  std::vector<std::vector<TablePtr>> parts;
+  parts.reserve((in.num_rows() + morsel_size - 1) / morsel_size);
+  for (size_t begin = 0; begin < in.num_rows(); begin += morsel_size) {
+    parts.push_back(
+        {std::make_shared<Table>(in.Slice(begin, begin + morsel_size))});
+  }
+  return parts;
+}
+
+/// Order-stable merge of per-partition results: the lowest failing
+/// partition's error wins, a single partition passes through unchanged,
+/// and split partitions concatenate under the input's table lineage id
+/// (row lineage ids carry through unchanged).
+Result<Table> MergeParts(std::vector<std::optional<Result<Table>>>* results,
+                         const std::vector<TablePtr>& inputs) {
+  for (const auto& r : *results) {
+    if (!r->ok()) return r->status();
+  }
+  if (results->size() == 1) return std::move(*results->front());
+  const Table& first = results->front()->value();
+  Table merged(first.name(), first.schema());
+  merged.set_table_lid(inputs[0]->table_lid());
+  for (const auto& r : *results) {
+    merged.AppendSlice(r->value(), 0, r->value().num_rows());
+  }
+  return merged;
+}
+
+}  // namespace
+
 Result<rel::Table> PhysicalFunction::Evaluate(
     const std::vector<rel::TablePtr>& inputs, ExecContext* ctx) {
   service::ResultCache* cache = ctx != nullptr ? ctx->result_cache : nullptr;
-  if (cache == nullptr || !IsCacheableTemplate(spec_.template_id)) {
+  if (cache == nullptr || !IsPureTemplate(spec_.template_id)) {
     return Execute(inputs, ctx);
   }
-  uint64_t key = common::HashCombine(SpecFingerprint(),
-                                     service::FingerprintTables(inputs));
-  if (auto hit = cache->Get(key); hit.has_value() && hit->table != nullptr) {
-    // Copy out: callers rename the result and rewrite its lineage ids;
-    // the shared cached table stays immutable.
-    return *hit->table;
-  }
+  uint64_t key = CacheKey(SpecFingerprint(), inputs);
+  if (auto hit = CacheGet(cache, key)) return std::move(*hit);
   KATHDB_ASSIGN_OR_RETURN(rel::Table out, Execute(inputs, ctx));
   cache->Put(key, service::CacheEntry{std::make_shared<rel::Table>(out),
                                       std::string()});
   return out;
-}
-
-bool IsKnownTemplate(const std::string& template_id) {
-  static const std::set<std::string> kKnown = {
-      "sql",
-      "keyword_similarity_score",
-      "keyword_similarity_cached",
-      "recency_score",
-      "combine_scores",
-      "classify_boring_stats",
-      "classify_boring_pixels",
-      "classify_boring_cascade",
-      "fused_scores"};
-  return kKnown.count(template_id) > 0;
-}
-
-bool IsRowWiseTemplate(const std::string& template_id) {
-  // Today the row-wise set coincides with the pure (cacheable) templates:
-  // both exclude "sql", whose body reads whole catalog relations by name.
-  return PhysicalFunction::IsCacheableTemplate(template_id);
 }
 
 namespace {
@@ -647,7 +612,7 @@ struct MorselState {
   FunctionSpec spec;
   ExecContext* ctx = nullptr;
   size_t parts = 0;
-  std::vector<rel::TablePtr> slices;
+  std::vector<std::vector<TablePtr>> part_inputs;
   std::vector<std::optional<Result<Table>>> results;
   std::atomic<size_t> next{0};
   common::Mutex mu;
@@ -656,14 +621,13 @@ struct MorselState {
 
   /// Claims and evaluates partitions until none are left. One fresh
   /// function instance per partition: implementations may keep per-call
-  /// scratch state (token caches, escalation counters) that must not be
-  /// shared across lanes.
+  /// scratch state (token caches) that must not be shared across lanes.
   void Work() {
     for (size_t i = next.fetch_add(1); i < parts;
          i = next.fetch_add(1)) {
       auto fn = InstantiateFunction(spec);
       if (fn.ok()) {
-        results[i].emplace(fn.value()->Evaluate({slices[i]}, ctx));
+        results[i].emplace(fn.value()->Evaluate(part_inputs[i], ctx));
       } else {
         results[i].emplace(fn.status());
       }
@@ -684,29 +648,11 @@ Result<rel::Table> EvaluateWithMorsels(const FunctionSpec& spec,
                                        const std::vector<rel::TablePtr>& inputs,
                                        ExecContext* ctx,
                                        const MorselOptions& morsels) {
-  bool narrow = spec.dependency_pattern == "one_to_one" ||
-                spec.dependency_pattern == "one_to_many";
-  bool splittable = morsels.morsel_size > 0 && narrow &&
-                    inputs.size() == 1 && inputs[0] != nullptr &&
-                    IsRowWiseTemplate(spec.template_id) &&
-                    inputs[0]->num_rows() > morsels.morsel_size;
-  if (!splittable) {
-    KATHDB_ASSIGN_OR_RETURN(auto fn, InstantiateFunction(spec));
-    return fn->Evaluate(inputs, ctx);
-  }
-
-  const Table& in = *inputs[0];
   auto state = std::make_shared<MorselState>();
   state->spec = spec;
   state->ctx = ctx;
-  state->parts =
-      (in.num_rows() + morsels.morsel_size - 1) / morsels.morsel_size;
-  state->slices.reserve(state->parts);
-  for (size_t p = 0; p < state->parts; ++p) {
-    size_t begin = p * morsels.morsel_size;
-    state->slices.push_back(std::make_shared<Table>(
-        in.Slice(begin, begin + morsels.morsel_size)));
-  }
+  state->part_inputs = Partition(spec, inputs, morsels.morsel_size);
+  state->parts = state->part_inputs.size();
   state->results.resize(state->parts);
 
   // Borrow helper lanes from the pool; the calling thread always works
@@ -721,68 +667,23 @@ Result<rel::Table> EvaluateWithMorsels(const FunctionSpec& spec,
   }
   state->Work();
   state->WaitAllDone();
-
-  // Deterministic error surfacing and order-stable merge.
-  for (size_t p = 0; p < state->parts; ++p) {
-    if (!state->results[p]->ok()) return state->results[p]->status();
-  }
-  Table merged(state->results[0]->value().name(),
-               state->results[0]->value().schema());
-  merged.set_table_lid(in.table_lid());
-  for (size_t p = 0; p < state->parts; ++p) {
-    const Table& part = state->results[p]->value();
-    merged.AppendSlice(part, 0, part.num_rows());
-  }
-  return merged;
-}
-
-bool IsBatchableTemplate(const std::string& template_id) {
-  // Exactly the pure set: coalescing two identical submissions onto one
-  // generation is only sound when the output is a function of spec +
-  // input contents, which is the cacheability condition.
-  return PhysicalFunction::IsCacheableTemplate(template_id);
+  return MergeParts(&state->results, inputs);
 }
 
 namespace {
-
-/// Per-round-trip latency this spec would pay for one model call; the
-/// batch pays max over its items instead of the per-row sum.
-double BatchRttMs(const FunctionSpec& spec) {
-  return spec.params.GetDouble("latency_ms_per_image", 0.0);
-}
 
 /// Join state of one asynchronous evaluation: every partition writes its
 /// own slot; the last completion (atomic countdown) merges and fires the
 /// callback, on whichever thread finished last.
 struct BatchJoinState {
-  size_t parts = 0;
-  bool split = false;
-  int64_t table_lid = 0;
+  std::vector<TablePtr> inputs;
   std::vector<std::optional<Result<Table>>> results;
   std::atomic<size_t> remaining{0};
   EvalCallback done;
 
   void CompleteOne() {
     if (remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    // Deterministic error surfacing: the lowest failing partition wins,
-    // exactly as EvaluateWithMorsels surfaces it.
-    for (size_t p = 0; p < parts; ++p) {
-      if (!results[p]->ok()) {
-        done(results[p]->status());
-        return;
-      }
-    }
-    if (!split) {
-      done(std::move(*results[0]));
-      return;
-    }
-    Table merged(results[0]->value().name(), results[0]->value().schema());
-    merged.set_table_lid(table_lid);
-    for (size_t p = 0; p < parts; ++p) {
-      const Table& part = results[p]->value();
-      merged.AppendSlice(part, 0, part.num_rows());
-    }
-    done(std::move(merged));
+    done(MergeParts(&results, inputs));
   }
 };
 
@@ -793,71 +694,41 @@ void EvaluateBatched(const FunctionSpec& spec,
                      ExecContext* ctx, const MorselOptions& morsels,
                      EvalCallback done) {
   if (ctx == nullptr || ctx->batcher == nullptr ||
-      !IsBatchableTemplate(spec.template_id)) {
+      !IsPureTemplate(spec.template_id)) {
     done(EvaluateWithMorsels(spec, inputs, ctx, morsels));
     return;
   }
-  // Same partitioning predicate and geometry as EvaluateWithMorsels: the
-  // split is a function of morsel_size only, so per-partition cache keys
-  // and batch fingerprints line up with the sequential path.
-  bool narrow = spec.dependency_pattern == "one_to_one" ||
-                spec.dependency_pattern == "one_to_many";
-  bool splittable = morsels.morsel_size > 0 && narrow &&
-                    inputs.size() == 1 && inputs[0] != nullptr &&
-                    IsRowWiseTemplate(spec.template_id) &&
-                    inputs[0]->num_rows() > morsels.morsel_size;
-
-  std::vector<std::vector<TablePtr>> item_inputs;
-  if (splittable) {
-    const Table& in = *inputs[0];
-    size_t parts =
-        (in.num_rows() + morsels.morsel_size - 1) / morsels.morsel_size;
-    item_inputs.reserve(parts);
-    for (size_t p = 0; p < parts; ++p) {
-      size_t begin = p * morsels.morsel_size;
-      item_inputs.push_back({std::make_shared<Table>(
-          in.Slice(begin, begin + morsels.morsel_size))});
-    }
-  } else {
-    item_inputs.push_back(inputs);
-  }
-
-  auto state = std::make_shared<BatchJoinState>();
-  state->parts = item_inputs.size();
-  state->split = splittable;
-  state->table_lid = splittable ? inputs[0]->table_lid() : 0;
-  state->results.resize(state->parts);
-  state->remaining.store(state->parts, std::memory_order_relaxed);
-  state->done = std::move(done);
-
   // Instantiated once up front for the spec fingerprint; generators build
   // their own instances (implementations keep per-call scratch state).
   auto proto = InstantiateFunction(spec);
   if (!proto.ok()) {
-    state->parts = 1;
-    state->results.resize(1);
-    state->results[0].emplace(proto.status());
-    state->remaining.store(1, std::memory_order_relaxed);
-    state->CompleteOne();
+    done(proto.status());
     return;
   }
   uint64_t spec_fp = proto.value()->SpecFingerprint();
   service::ResultCache* cache = ctx->result_cache;
+  // The batch pays one round trip of max over its items instead of the
+  // per-row sum.
+  double rtt_ms = spec.params.GetDouble("latency_ms_per_image", 0.0);
 
-  for (size_t i = 0; i < item_inputs.size(); ++i) {
-    uint64_t key = common::HashCombine(
-        spec_fp, service::FingerprintTables(item_inputs[i]));
+  std::vector<std::vector<TablePtr>> part_inputs =
+      Partition(spec, inputs, morsels.morsel_size);
+  auto state = std::make_shared<BatchJoinState>();
+  state->inputs = inputs;
+  state->results.resize(part_inputs.size());
+  state->remaining.store(part_inputs.size(), std::memory_order_relaxed);
+  state->done = std::move(done);
+
+  for (size_t i = 0; i < part_inputs.size(); ++i) {
+    uint64_t key = CacheKey(spec_fp, part_inputs[i]);
     // Cache lookup before submit: a memoized partition resolves inline
     // (and counts the same hit the sequential path would count).
-    if (cache != nullptr) {
-      if (auto hit = cache->Get(key);
-          hit.has_value() && hit->table != nullptr) {
-        state->results[i].emplace(*hit->table);
-        state->CompleteOne();
-        continue;
-      }
+    if (auto hit = CacheGet(cache, key)) {
+      state->results[i].emplace(std::move(*hit));
+      state->CompleteOne();
+      continue;
     }
-    std::vector<TablePtr> slice = item_inputs[i];
+    std::vector<TablePtr> slice = part_inputs[i];
     ctx->batcher->Submit(
         key,
         [spec, slice, ctx, cache, key]() -> Result<llm::BatchResult> {
@@ -877,7 +748,7 @@ void EvaluateBatched(const FunctionSpec& spec,
           }
           return llm::BatchResult{table, std::string()};
         },
-        BatchRttMs(spec),
+        rtt_ms,
         [state, i](const Result<llm::BatchResult>& r) {
           if (r.ok() && r.value().table != nullptr) {
             state->results[i].emplace(*r.value().table);
@@ -890,43 +761,6 @@ void EvaluateBatched(const FunctionSpec& spec,
           state->CompleteOne();
         });
   }
-}
-
-Result<std::unique_ptr<PhysicalFunction>> InstantiateFunction(
-    const FunctionSpec& spec) {
-  const std::string& t = spec.template_id;
-  if (t == "sql") return std::unique_ptr<PhysicalFunction>(
-      new SqlFunction(spec));
-  if (t == "keyword_similarity_score") {
-    return std::unique_ptr<PhysicalFunction>(
-        new KeywordSimilarityFunction(spec));
-  }
-  if (t == "keyword_similarity_cached") {
-    return std::unique_ptr<PhysicalFunction>(
-        new KeywordSimilarityCachedFunction(spec));
-  }
-  if (t == "recency_score") {
-    return std::unique_ptr<PhysicalFunction>(new RecencyScoreFunction(spec));
-  }
-  if (t == "combine_scores") {
-    return std::unique_ptr<PhysicalFunction>(new CombineScoresFunction(spec));
-  }
-  if (t == "classify_boring_stats") {
-    return std::unique_ptr<PhysicalFunction>(
-        new ClassifyBoringStatsFunction(spec));
-  }
-  if (t == "classify_boring_pixels") {
-    return std::unique_ptr<PhysicalFunction>(
-        new ClassifyBoringPixelsFunction(spec));
-  }
-  if (t == "classify_boring_cascade") {
-    return std::unique_ptr<PhysicalFunction>(
-        new ClassifyBoringCascadeFunction(spec));
-  }
-  if (t == "fused_scores") {
-    return std::unique_ptr<PhysicalFunction>(new FusedScoresFunction(spec));
-  }
-  return Status::InvalidArgument("unknown function template '" + t + "'");
 }
 
 }  // namespace kathdb::fao

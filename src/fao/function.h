@@ -116,18 +116,12 @@ class PhysicalFunction {
 
   /// Cache-aware entry point used by the executor and the optimizer's
   /// profiler: when `ctx->result_cache` is set and the template is pure
-  /// (output determined by spec parameters + input contents + immutable
-  /// ingest state), looks up the 64-bit key spec-fingerprint x
+  /// (IsPureTemplate), looks up the 64-bit key spec-fingerprint x
   /// input-fingerprint; a hit returns the memoized table without running
   /// the body (skipping its model charges — the cross-query saving); a
   /// miss executes and stores. Falls back to plain Execute otherwise.
   Result<rel::Table> Evaluate(const std::vector<rel::TablePtr>& inputs,
                               ExecContext* ctx);
-
-  /// True for templates whose output is a pure function of the spec and
-  /// input contents. "sql" is excluded: its body reads arbitrary catalog
-  /// state and multi-step bodies register intermediates as a side effect.
-  static bool IsCacheableTemplate(const std::string& template_id);
 
   /// 64-bit fingerprint of the behavioural part of the spec (template,
   /// parameters, dependency pattern — not name or version).
@@ -145,11 +139,14 @@ Result<std::unique_ptr<PhysicalFunction>> InstantiateFunction(
 /// True if the interpreter knows this template id.
 bool IsKnownTemplate(const std::string& template_id);
 
-/// True for templates that map input rows independently (each output
-/// chunk is a function of the corresponding input chunk, in order):
-/// these are safe to evaluate per row morsel and concatenate. "sql" is
-/// excluded — its body resolves inputs by catalog name, not row range.
-bool IsRowWiseTemplate(const std::string& template_id);
+/// True for pure templates: the output is a function of the spec
+/// parameters, the input contents and immutable ingest state, and input
+/// rows map independently and in order. Pure evaluations are memoized
+/// in the result cache, split into row morsels, and coalesced by the
+/// batch scheduler (indistinguishable from a cache hit). Only "sql" is
+/// impure: its body reads whole catalog relations by name, and
+/// multi-step bodies register intermediates as a side effect.
+bool IsPureTemplate(const std::string& template_id);
 
 /// Knobs for morsel-partitioned evaluation (set by the executor from
 /// ExecutorOptions; the partitioning is a function of morsel_size only,
@@ -165,7 +162,7 @@ struct MorselOptions {
 };
 
 /// Evaluates `spec` over `inputs`. When the function is row-wise
-/// (IsRowWiseTemplate + a one_to_one/one_to_many dependency pattern),
+/// (IsPureTemplate + a one_to_one/one_to_many dependency pattern),
 /// has exactly one input table and `morsels.morsel_size` is non-zero,
 /// the input is split into row morsels, each partition is evaluated
 /// through the cache-aware PhysicalFunction::Evaluate (so cross-query
@@ -179,15 +176,9 @@ Result<rel::Table> EvaluateWithMorsels(const FunctionSpec& spec,
                                        const MorselOptions& morsels);
 
 /// Completion of one asynchronous FAO evaluation. May be invoked inline
-/// (cache hits, non-batchable templates) or later on the batch
-/// scheduler's flusher thread.
+/// (cache hits, impure templates) or later on the batch scheduler's
+/// flusher thread.
 using EvalCallback = std::function<void(Result<rel::Table>)>;
-
-/// True for templates eligible for cross-query batched evaluation: pure
-/// templates whose output is determined by spec + input contents (the
-/// cacheable set), so coalescing two identical submissions onto one
-/// generation is indistinguishable from a cache hit.
-bool IsBatchableTemplate(const std::string& template_id);
 
 /// Asynchronous counterpart of EvaluateWithMorsels, used when
 /// `ctx->batcher` is set and the executor enabled batching. The input is
@@ -200,8 +191,8 @@ bool IsBatchableTemplate(const std::string& template_id);
 /// generation and the result is byte-identical to the sequential path.
 /// `done` fires exactly once with the order-stable merge (lowest failing
 /// partition wins), inline when every partition was a cache hit or the
-/// template is not batchable (plain EvaluateWithMorsels), otherwise on
-/// the flusher thread after the last batch completes.
+/// template is impure (plain EvaluateWithMorsels), otherwise on the
+/// flusher thread after the last batch completes.
 void EvaluateBatched(const FunctionSpec& spec,
                      const std::vector<rel::TablePtr>& inputs,
                      ExecContext* ctx, const MorselOptions& morsels,

@@ -117,13 +117,12 @@ TEST_F(CachedSimilarityTest, CachedMatchesPlainExactly) {
   auto cached = cached_fn->Execute({base}, &ctx_);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(cached.ok());
+  // Byte-identical tables: contents, name and per-row lineage ids.
   ASSERT_EQ(plain->num_rows(), cached->num_rows());
-  auto pidx = *plain->schema().IndexOf("score");
-  auto cidx = *cached->schema().IndexOf("score");
+  EXPECT_EQ(plain->Fingerprint(), cached->Fingerprint());
+  EXPECT_EQ(plain->name(), cached->name());
   for (size_t r = 0; r < plain->num_rows(); ++r) {
-    EXPECT_NEAR(plain->at(r, pidx).AsDouble(),
-                cached->at(r, cidx).AsDouble(), 1e-9)
-        << "row " << r;
+    EXPECT_EQ(plain->row_lid(r), cached->row_lid(r)) << "row " << r;
   }
 }
 

@@ -294,7 +294,20 @@ TEST_F(FunctionFixture, UnknownTemplateRejected) {
   spec.template_id = "quantum_sort";
   EXPECT_FALSE(InstantiateFunction(spec).ok());
   EXPECT_FALSE(IsKnownTemplate("quantum_sort"));
-  EXPECT_TRUE(IsKnownTemplate("sql"));
+  EXPECT_FALSE(IsPureTemplate("quantum_sort"));
+  // Every known template instantiates, and "sql" is the only impure one.
+  for (const char* id :
+       {"sql", "keyword_similarity_score", "keyword_similarity_cached",
+        "recency_score", "combine_scores", "classify_boring_stats",
+        "classify_boring_pixels", "classify_boring_cascade",
+        "fused_scores"}) {
+    spec.template_id = id;
+    EXPECT_TRUE(IsKnownTemplate(id)) << id;
+    auto fn = InstantiateFunction(spec);
+    ASSERT_TRUE(fn.ok()) << id;
+    EXPECT_EQ(fn.value()->spec().template_id, id);
+    EXPECT_EQ(IsPureTemplate(id), std::string(id) != "sql") << id;
+  }
 }
 
 TEST_F(FunctionFixture, SqlTemplateRunsQuery) {
@@ -488,6 +501,35 @@ TEST_F(FunctionFixture, ClassifyBoringPixelsHeicFailsSyntactically) {
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
 }
 
+TEST_F(FunctionFixture, ClassifyBoringPixelsHonoursMaxObjects) {
+  PopulateSceneViews(true, false);
+  // vid 21: a flat poster with two non-action objects.
+  mm::SyntheticImage flat;
+  flat.uri = "file://p21.simg";
+  flat.color_variance = 0.01;
+  flat.objects.push_back({"person", 0, 0, 1, 1, {}});
+  flat.objects.push_back({"person", 0.5, 0.5, 1, 1, {}});
+  images_.Put(21, flat);
+  FunctionSpec spec;
+  spec.name = "classify_boring";
+  spec.template_id = "classify_boring_pixels";
+  auto out = InstantiateFunction(spec).value()->Execute({FilmsTable()},
+                                                        &ctx_);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  auto idx = out.value().schema().IndexOf("boring_poster");
+  EXPECT_TRUE(out.value().at(0, *idx).AsBool());  // 2 <= default 4
+  spec.params.Set("max_objects", Json::Int(1));
+  out = InstantiateFunction(spec).value()->Execute({FilmsTable()}, &ctx_);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_FALSE(out.value().at(0, *idx).AsBool());  // 2 > 1
+  // The cascade's escalation path applies the same rule.
+  spec.template_id = "classify_boring_cascade";
+  spec.params.Set("margin", Json::Double(1.0));  // escalate every row
+  out = InstantiateFunction(spec).value()->Execute({FilmsTable()}, &ctx_);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_FALSE(out.value().at(0, *idx).AsBool());
+}
+
 TEST_F(FunctionFixture, CascadeEscalatesOnlyUncertainRows) {
   PopulateSceneViews(true, false);  // variances 0.01 and 0.2: both certain
   FunctionSpec spec;
@@ -531,6 +573,48 @@ TEST_F(FunctionFixture, FusedScoresMatchesUnfusedPipeline) {
   EXPECT_NEAR(t.at(0, *f).AsDouble(),
               0.7 * t.at(0, *e).AsDouble() + 0.3 * t.at(0, *r).AsDouble(),
               1e-9);
+
+  // The unfused chain recency -> keyword -> combine yields the same three
+  // columns, value for value, on every row.
+  FunctionSpec rec;
+  rec.name = "gen_recency_score";
+  rec.template_id = "recency_score";
+  rec.params.Set("min_year", Json::Double(1950));
+  rec.params.Set("max_year", Json::Double(1990));
+  auto step1 = InstantiateFunction(rec).value()->Execute({FilmsTable()},
+                                                         &ctx_);
+  ASSERT_TRUE(step1.ok()) << step1.status().ToString();
+  auto step2 = InstantiateFunction(KeywordSpec()).value()->Execute(
+      {std::make_shared<Table>(step1.value())}, &ctx_);
+  ASSERT_TRUE(step2.ok()) << step2.status().ToString();
+  FunctionSpec combine;
+  combine.name = "combine_scores";
+  combine.template_id = "combine_scores";
+  Json terms = Json::Array();
+  Json t1 = Json::Object();
+  t1.Set("column", Json::Str("excitement_score"));
+  t1.Set("weight", Json::Double(0.7));
+  terms.Append(t1);
+  Json t2 = Json::Object();
+  t2.Set("column", Json::Str("recency_score"));
+  t2.Set("weight", Json::Double(0.3));
+  terms.Append(t2);
+  combine.params.Set("terms", std::move(terms));
+  auto chain = InstantiateFunction(combine).value()->Execute(
+      {std::make_shared<Table>(step2.value())}, &ctx_);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  const Table& u = chain.value();
+  ASSERT_EQ(u.num_rows(), t.num_rows());
+  for (const char* col : {"excitement_score", "recency_score",
+                          "final_score"}) {
+    auto fi = t.schema().IndexOf(col);
+    auto ui = u.schema().IndexOf(col);
+    ASSERT_TRUE(fi.has_value() && ui.has_value()) << col;
+    for (size_t row = 0; row < t.num_rows(); ++row) {
+      EXPECT_EQ(t.at(row, *fi).AsDouble(), u.at(row, *ui).AsDouble())
+          << col << " row " << row;
+    }
+  }
 }
 
 TEST_F(FunctionFixture, WrongInputArityIsSyntacticError) {

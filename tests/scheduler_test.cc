@@ -349,9 +349,9 @@ TEST(MorselTest, PerPartitionCacheKeysHitAcrossWorkerCounts) {
 }
 
 TEST(MorselTest, SqlTemplateIsNeverSplit) {
-  EXPECT_FALSE(fao::IsRowWiseTemplate("sql"));
-  EXPECT_TRUE(fao::IsRowWiseTemplate("recency_score"));
-  EXPECT_TRUE(fao::IsRowWiseTemplate("classify_boring_cascade"));
+  EXPECT_FALSE(fao::IsPureTemplate("sql"));
+  EXPECT_TRUE(fao::IsPureTemplate("recency_score"));
+  EXPECT_TRUE(fao::IsPureTemplate("classify_boring_cascade"));
 }
 
 // ------------------------------------- end-to-end parallel == sequential

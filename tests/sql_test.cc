@@ -307,6 +307,12 @@ struct OrderCase {
   bool desc;
 };
 
+// Without this, gtest prints the raw struct bytes (a pointer plus padding), so
+// the case names change from run to run.
+void PrintTo(const OrderCase& oc, std::ostream* os) {
+  *os << oc.column << (oc.desc ? "_desc" : "_asc");
+}
+
 class OrderSweep : public ::testing::TestWithParam<OrderCase> {};
 
 TEST_P(OrderSweep, OrderedOutputIsMonotone) {
