@@ -5,11 +5,12 @@
 // index-permutation sort with typed comparators) buy over the row
 // kernels on 1M-row inputs, and is the output still byte-identical?
 //
-// Drives the SAME operator factories both ways via ExecImpl: the row
-// kernels materialized row-at-a-time (the reference) against the
-// columnar kernels materialized in chunks. Checks cell-for-cell identity
-// (lids included) on a subset and fingerprint identity at full size
-// before timing. Acceptance target: >= 4x wall-clock speedup each.
+// Runs the same plans both ways: through the row-at-a-time reference
+// operators (tests/support/row_reference.h) and through the chunked
+// rel:: kernels. Every run first checks cell-for-cell identity (lids
+// included) on a 20k-row table, aborting otherwise; the 1M-row headline
+// table (fingerprint identity + speedup) runs only unfiltered.
+// Acceptance target: >= 4x wall-clock speedup each.
 
 #include <benchmark/benchmark.h>
 
@@ -22,8 +23,11 @@
 
 #include "relational/ops.h"
 #include "relational/table.h"
+#include "support/row_reference.h"
 
 using namespace kathdb::rel;  // NOLINT
+using kathdb::rowref::Chunked;
+using kathdb::rowref::Rows;
 
 namespace {
 
@@ -59,7 +63,8 @@ std::shared_ptr<Table> MakeFactTable(size_t rows) {
 
 /// GROUP BY genre, year with one aggregate of every function: 600 groups
 /// out of 1M rows, dictionary + int keys.
-OperatorPtr MakeGroupBy(std::shared_ptr<Table> table, ExecImpl impl) {
+template <typename Ops>
+typename Ops::Ptr MakeGroupBy(std::shared_ptr<Table> table) {
   std::vector<AggSpec> aggs = {
       {AggFn::kCount, "", "n"},
       {AggFn::kSum, "score", "sum_score"},
@@ -67,15 +72,16 @@ OperatorPtr MakeGroupBy(std::shared_ptr<Table> table, ExecImpl impl) {
       {AggFn::kMin, "score", "min_score"},
       {AggFn::kMax, "mid", "max_mid"},
   };
-  return MakeAggregate(MakeSeqScan(std::move(table)), {"genre", "year"},
-                       std::move(aggs), impl);
+  return Ops::Aggregate(Ops::SeqScan(std::move(table)), {"genre", "year"},
+                        std::move(aggs));
 }
 
 /// ORDER BY score DESC, mid ASC: a double key with heavy ties broken by
 /// a unique int key, full-width payload carried through.
-OperatorPtr MakeOrderBy(std::shared_ptr<Table> table, ExecImpl impl) {
-  return MakeSort(MakeSeqScan(std::move(table)),
-                  {{"score", true}, {"mid", false}}, impl);
+template <typename Ops>
+typename Ops::Ptr MakeOrderBy(std::shared_ptr<Table> table) {
+  return Ops::Sort(Ops::SeqScan(std::move(table)),
+                   {{"score", true}, {"mid", false}});
 }
 
 bool Identical(const Table& a, const Table& b) {
@@ -110,35 +116,51 @@ double TimedMs(const std::function<kathdb::Result<Table>()>& run,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-using MakeOp = std::function<OperatorPtr(std::shared_ptr<Table>, ExecImpl)>;
+/// One plan shape, run through the row reference and the chunked kernels.
+struct Shape {
+  const char* label;
+  std::function<kathdb::Result<Table>(std::shared_ptr<Table>)> rows;
+  std::function<kathdb::Result<Table>(std::shared_ptr<Table>)> chunked;
+};
 
-void ComparePipeline(const char* label, const MakeOp& make, double target) {
-  // Byte-identity first, on a subset small enough to compare cell by cell.
+const Shape kGroupBy = {
+    "group-by: Aggregate(genre,year; 5 aggs)",
+    [](std::shared_ptr<Table> t) { return Rows::Run(MakeGroupBy<Rows>(t)); },
+    [](std::shared_ptr<Table> t) {
+      return Chunked::Run(MakeGroupBy<Chunked>(t));
+    }};
+
+const Shape kOrderBy = {
+    "sort: Sort(score DESC, mid ASC)",
+    [](std::shared_ptr<Table> t) { return Rows::Run(MakeOrderBy<Rows>(t)); },
+    [](std::shared_ptr<Table> t) {
+      return Chunked::Run(MakeOrderBy<Chunked>(t));
+    }};
+
+/// Byte-identity of the two paths on a table small enough to compare
+/// cell by cell; aborts on any difference.
+void CheckIdentity(const Shape& shape) {
   auto check = MakeFactTable(kCheckRows);
   Table by_rows;
   Table by_cols;
-  auto rows_op = make(check, ExecImpl::kRow);
-  auto cols_op = make(check, ExecImpl::kColumnar);
-  TimedMs([&] { return MaterializeRows(rows_op.get(), "out"); }, &by_rows);
-  TimedMs([&] { return Materialize(cols_op.get(), "out"); }, &by_cols);
+  TimedMs([&] { return shape.rows(check); }, &by_rows);
+  TimedMs([&] { return shape.chunked(check); }, &by_cols);
   if (!Identical(by_rows, by_cols)) {
     std::fprintf(stderr, "%s: columnar result differs from row result\n",
-                 label);
+                 shape.label);
     std::abort();
   }
+}
 
+void ComparePipeline(const Shape& shape, double target) {
   auto facts = MakeFactTable(kRows);
-  std::printf("=== %s over %zu rows ===\n", label, kRows);
+  std::printf("=== %s over %zu rows ===\n", shape.label, kRows);
   std::printf("%-10s %-12s %-12s %-10s %-10s\n", "path", "wall_ms",
               "out_rows", "speedup", "identical");
   Table row_out;
   Table col_out;
-  auto op_r = make(facts, ExecImpl::kRow);
-  auto op_c = make(facts, ExecImpl::kColumnar);
-  double row_ms =
-      TimedMs([&] { return MaterializeRows(op_r.get(), "out"); }, &row_out);
-  double col_ms =
-      TimedMs([&] { return Materialize(op_c.get(), "out"); }, &col_out);
+  double row_ms = TimedMs([&] { return shape.rows(facts); }, &row_out);
+  double col_ms = TimedMs([&] { return shape.chunked(facts); }, &col_out);
   bool same = row_out.num_rows() == col_out.num_rows() &&
               row_out.Fingerprint() == col_out.Fingerprint();
   std::printf("%-10s %-12.1f %-12zu %-10s %-10s\n", "row", row_ms,
@@ -150,18 +172,11 @@ void ComparePipeline(const char* label, const MakeOp& make, double target) {
   if (!same) std::abort();
 }
 
-void PrintComparison() {
-  ComparePipeline("group-by: Aggregate(genre,year; 5 aggs)", MakeGroupBy,
-                  4.0);
-  ComparePipeline("sort: Sort(score DESC, mid ASC)", MakeOrderBy, 4.0);
-}
-
 void BM_RowGroupBy(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op = MakeGroupBy(facts, ExecImpl::kRow);
-    auto r = MaterializeRows(op.get(), "out");
+    auto r = kGroupBy.rows(facts);
     if (!r.ok()) std::abort();
     out_rows = r->num_rows();
     benchmark::DoNotOptimize(out_rows);
@@ -179,8 +194,7 @@ void BM_ColumnarGroupBy(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op = MakeGroupBy(facts, ExecImpl::kColumnar);
-    auto r = Materialize(op.get(), "out");
+    auto r = kGroupBy.chunked(facts);
     if (!r.ok()) std::abort();
     out_rows = r->num_rows();
     benchmark::DoNotOptimize(out_rows);
@@ -198,8 +212,7 @@ void BM_RowSort(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op = MakeOrderBy(facts, ExecImpl::kRow);
-    auto r = MaterializeRows(op.get(), "out");
+    auto r = kOrderBy.rows(facts);
     if (!r.ok()) std::abort();
     out_rows = r->num_rows();
     benchmark::DoNotOptimize(out_rows);
@@ -217,8 +230,7 @@ void BM_ColumnarSort(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op = MakeOrderBy(facts, ExecImpl::kColumnar);
-    auto r = Materialize(op.get(), "out");
+    auto r = kOrderBy.chunked(facts);
     if (!r.ok()) std::abort();
     out_rows = r->num_rows();
     benchmark::DoNotOptimize(out_rows);
@@ -235,16 +247,21 @@ BENCHMARK(BM_ColumnarSort)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The printed comparison (equivalence check + headline speedup) only
-  // runs unfiltered; CI smoke runs filter to one benchmark and should
-  // not pay for the full 1M-row sweep twice.
+  // The identity checks always run; the 1M-row headline comparison only
+  // runs unfiltered (filtered smoke runs should not pay for the full
+  // sweep twice).
   bool filtered = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).rfind("--benchmark_filter", 0) == 0) {
       filtered = true;
     }
   }
-  if (!filtered) PrintComparison();
+  CheckIdentity(kGroupBy);
+  CheckIdentity(kOrderBy);
+  if (!filtered) {
+    ComparePipeline(kGroupBy, 4.0);
+    ComparePipeline(kOrderBy, 4.0);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -6,10 +6,12 @@
 // byte-identical, lineage included?
 //
 // Drives a 1M-row synthetic fact table through SeqScan -> Filter with a
-// ~5% selective numeric predicate, materialized two ways over the SAME
-// operator classes: MaterializeRows (row-at-a-time Next(), the reference)
-// and Materialize (NextChunk(), bulk column appends). Checks that the two
-// results carry identical cells, lids and fingerprints before timing.
+// ~5% selective numeric predicate, run two ways over the same plan: the
+// row-at-a-time reference operators (tests/support/row_reference.h, one
+// boxed Row per Next()) and the chunked rel:: operators (NextChunk(),
+// bulk column appends). Every run first checks on a 20k-row table that
+// the two results carry identical cells, lids and fingerprints (aborting
+// otherwise); the 1M-row headline table runs only unfiltered.
 // Acceptance target: >= 5x wall-clock speedup for the chunked path.
 
 #include <benchmark/benchmark.h>
@@ -23,8 +25,11 @@
 #include "relational/expr.h"
 #include "relational/ops.h"
 #include "relational/table.h"
+#include "support/row_reference.h"
 
 using namespace kathdb::rel;  // NOLINT
+using kathdb::rowref::Chunked;
+using kathdb::rowref::Rows;
 
 namespace {
 
@@ -69,8 +74,9 @@ ExprPtr ScanPredicate() {
                    Expr::Literal(Value::Int(1990))));
 }
 
-OperatorPtr MakeScanFilter(std::shared_ptr<Table> table) {
-  return MakeFilter(MakeSeqScan(std::move(table)), ScanPredicate());
+template <typename Ops>
+typename Ops::Ptr MakeScanFilter(std::shared_ptr<Table> table) {
+  return Ops::Filter(Ops::SeqScan(std::move(table)), ScanPredicate());
 }
 
 bool Identical(const Table& a, const Table& b) {
@@ -105,32 +111,34 @@ double TimedMs(const std::function<kathdb::Result<Table>()>& run,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-void PrintComparison() {
-  // Byte-identity first, on a subset small enough to compare cell by cell.
+/// Byte-identity of the two paths on a table small enough to compare
+/// cell by cell; aborts on any difference.
+void CheckIdentity() {
   auto check = MakeFactTable(kCheckRows);
   Table by_rows;
   Table by_chunks;
-  auto rows_op = MakeScanFilter(check);
-  auto chunk_op = MakeScanFilter(check);
-  TimedMs([&] { return MaterializeRows(rows_op.get(), "out"); }, &by_rows);
-  TimedMs([&] { return Materialize(chunk_op.get(), "out"); }, &by_chunks);
+  TimedMs([&] { return Rows::Run(MakeScanFilter<Rows>(check)); }, &by_rows);
+  TimedMs([&] { return Chunked::Run(MakeScanFilter<Chunked>(check)); },
+          &by_chunks);
   if (!Identical(by_rows, by_chunks)) {
     std::fprintf(stderr, "columnar result differs from row result\n");
     std::abort();
   }
+}
 
+void PrintComparison() {
   auto facts = MakeFactTable(kRows);
   std::printf("=== columnar scan: SeqScan+Filter over %zu rows ===\n", kRows);
   std::printf("%-10s %-12s %-12s %-10s %-10s\n", "path", "wall_ms",
               "out_rows", "speedup", "identical");
   Table row_out;
   Table col_out;
-  auto op_r = MakeScanFilter(facts);
-  auto op_c = MakeScanFilter(facts);
   double row_ms =
-      TimedMs([&] { return MaterializeRows(op_r.get(), "out"); }, &row_out);
+      TimedMs([&] { return Rows::Run(MakeScanFilter<Rows>(facts)); },
+              &row_out);
   double col_ms =
-      TimedMs([&] { return Materialize(op_c.get(), "out"); }, &col_out);
+      TimedMs([&] { return Chunked::Run(MakeScanFilter<Chunked>(facts)); },
+              &col_out);
   bool same = row_out.num_rows() == col_out.num_rows() &&
               row_out.Fingerprint() == col_out.Fingerprint();
   std::printf("%-10s %-12.1f %-12zu %-10s %-10s\n", "row", row_ms,
@@ -145,8 +153,7 @@ void BM_RowScanFilter(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op = MakeScanFilter(facts);
-    auto r = MaterializeRows(op.get(), "out");
+    auto r = Rows::Run(MakeScanFilter<Rows>(facts));
     if (!r.ok()) std::abort();
     out_rows = r->num_rows();
     benchmark::DoNotOptimize(out_rows);
@@ -164,8 +171,7 @@ void BM_ColumnarScanFilter(benchmark::State& state) {
   auto facts = MakeFactTable(static_cast<size_t>(state.range(0)));
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op = MakeScanFilter(facts);
-    auto r = Materialize(op.get(), "out");
+    auto r = Chunked::Run(MakeScanFilter<Chunked>(facts));
     if (!r.ok()) std::abort();
     out_rows = r->num_rows();
     benchmark::DoNotOptimize(out_rows);
@@ -182,15 +188,16 @@ BENCHMARK(BM_ColumnarScanFilter)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The printed comparison (equivalence check + headline speedup) only
-  // runs unfiltered; CI smoke runs filter to one benchmark and should
-  // not pay for the full 1M-row sweep twice.
+  // The identity check always runs; the 1M-row headline comparison only
+  // runs unfiltered (filtered smoke runs should not pay for the full
+  // sweep twice).
   bool filtered = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).rfind("--benchmark_filter", 0) == 0) {
       filtered = true;
     }
   }
+  CheckIdentity();
   if (!filtered) PrintComparison();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -30,6 +30,7 @@
 #include "relational/ops.h"
 #include "relational/table.h"
 #include "service/result_cache.h"
+#include "support/row_reference.h"
 
 using namespace kathdb;         // NOLINT
 using namespace kathdb::bench;  // NOLINT
@@ -275,15 +276,17 @@ rel::TablePtr MakeLayoutTable(size_t rows) {
   return t;
 }
 
-rel::OperatorPtr MakeLayoutScanFilter(rel::TablePtr table) {
+/// score < 0.05 AND year >= 1990 over `table`, built with builder `Ops`
+/// (rowref::Rows for the row layout, rowref::Chunked for the columnar one).
+template <typename Ops>
+typename Ops::Ptr MakeLayoutScanFilter(rel::TablePtr table) {
   auto pred = rel::Expr::Binary(
       rel::BinaryOp::kAnd,
       rel::Expr::Binary(rel::BinaryOp::kLt, rel::Expr::Column("score"),
                         rel::Expr::Literal(rel::Value::Double(0.05))),
       rel::Expr::Binary(rel::BinaryOp::kGe, rel::Expr::Column("year"),
                         rel::Expr::Literal(rel::Value::Int(1990))));
-  return rel::MakeFilter(rel::MakeSeqScan(std::move(table)),
-                         std::move(pred));
+  return Ops::Filter(Ops::SeqScan(std::move(table)), std::move(pred));
 }
 
 void BM_LayoutScanFilter(benchmark::State& state) {
@@ -292,12 +295,12 @@ void BM_LayoutScanFilter(benchmark::State& state) {
   double col_ms = 0.0;
   size_t out_rows = 0;
   for (auto _ : state) {
-    auto op_r = MakeLayoutScanFilter(facts);
     auto t0 = std::chrono::steady_clock::now();
-    auto by_rows = rel::MaterializeRows(op_r.get(), "out");
+    auto by_rows =
+        rowref::Rows::Run(MakeLayoutScanFilter<rowref::Rows>(facts));
     auto t1 = std::chrono::steady_clock::now();
-    auto op_c = MakeLayoutScanFilter(facts);
-    auto by_chunks = rel::Materialize(op_c.get(), "out");
+    auto by_chunks =
+        rowref::Chunked::Run(MakeLayoutScanFilter<rowref::Chunked>(facts));
     auto t2 = std::chrono::steady_clock::now();
     if (!by_rows.ok() || !by_chunks.ok() ||
         by_rows->Fingerprint() != by_chunks->Fingerprint()) {

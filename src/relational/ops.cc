@@ -4,31 +4,11 @@
 #include <cstring>
 #include <numeric>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "relational/expr_vec.h"
 
 namespace kathdb::rel {
-
-Result<bool> Operator::NextChunk(Chunk* chunk) {
-  // Adapter for row-only operators: buffer up to kChunkRows Next() pulls
-  // into a private table and emit it as one dense chunk.
-  auto buf = std::make_shared<Table>(std::string(), output_schema());
-  Row row;
-  int64_t lid = 0;
-  while (buf->num_rows() < kChunkRows) {
-    KATHDB_ASSIGN_OR_RETURN(bool has, Next(&row, &lid));
-    if (!has) break;
-    buf->AppendRow(std::move(row), lid);
-  }
-  if (buf->num_rows() == 0) return false;
-  chunk->begin = 0;
-  chunk->end = buf->num_rows();
-  chunk->sel.clear();
-  chunk->table = std::move(buf);
-  return true;
-}
 
 Result<Table> Materialize(Operator* op, const std::string& name) {
   KATHDB_RETURN_IF_ERROR(op->Open());
@@ -48,21 +28,17 @@ Result<Table> Materialize(Operator* op, const std::string& name) {
   return out;
 }
 
-Result<Table> MaterializeRows(Operator* op, const std::string& name) {
-  KATHDB_RETURN_IF_ERROR(op->Open());
-  Table out(name, op->output_schema());
-  Row row;
-  int64_t lid = 0;
-  while (true) {
-    KATHDB_ASSIGN_OR_RETURN(bool has, op->Next(&row, &lid));
-    if (!has) break;
-    out.AppendRow(row, lid);
-  }
-  op->Close();
-  return out;
-}
-
 namespace {
+
+/// Emits the next window of up to kChunkRows rows of `table`, starting at
+/// *pos: the zero-copy chunk of operators that serve a whole table.
+bool NextWindow(const TablePtr& table, size_t* pos, Chunk* chunk) {
+  if (*pos >= table->num_rows()) return false;
+  size_t end = std::min(*pos + kChunkRows, table->num_rows());
+  *chunk = Chunk{table, *pos, end, {}};
+  *pos = end;
+  return true;
+}
 
 // ---------------------------------------------------------------- SeqScan
 class SeqScanOp : public Operator {
@@ -74,22 +50,8 @@ class SeqScanOp : public Operator {
     return table_ == nullptr ? Status::InvalidArgument("null table scan")
                              : Status::OK();
   }
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (pos_ >= table_->num_rows()) return false;
-    *row = table_->row(pos_);
-    *lid = table_->row_lid(pos_);
-    ++pos_;
-    return true;
-  }
   Result<bool> NextChunk(Chunk* chunk) override {
-    // Zero-copy: a chunk is a window over the scanned table itself.
-    if (pos_ >= table_->num_rows()) return false;
-    chunk->table = table_;
-    chunk->begin = pos_;
-    chunk->end = std::min(pos_ + kChunkRows, table_->num_rows());
-    chunk->sel.clear();
-    pos_ = chunk->end;
-    return true;
+    return NextWindow(table_, &pos_, chunk);
   }
   void Close() override {}
   const Schema& output_schema() const override { return table_->schema(); }
@@ -109,15 +71,6 @@ class FilterOp : public Operator {
       : child_(std::move(child)), pred_(std::move(pred)) {}
 
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(row, lid));
-      if (!has) return false;
-      KATHDB_ASSIGN_OR_RETURN(Value v,
-                              pred_->Eval(*row, child_->output_schema()));
-      if (!v.is_null() && v.AsBool()) return true;
-    }
-  }
   Result<bool> NextChunk(Chunk* chunk) override {
     // Vectorized: evaluate the predicate over the child's chunk into a
     // selection vector; the chunk's table passes through untouched.
@@ -164,7 +117,7 @@ class ProjectOp : public Operator {
         exprs_(std::move(exprs)),
         names_(std::move(names)) {
     // Best-effort schema: column refs keep their input type; everything
-    // else starts as STRING and is refined from the first row at Open().
+    // else starts as STRING and is refined from the first produced row.
     for (size_t i = 0; i < exprs_.size(); ++i) {
       DataType t = DataType::kString;
       if (exprs_[i]->kind() == ExprKind::kColumnRef) {
@@ -178,30 +131,6 @@ class ProjectOp : public Operator {
   }
 
   Status Open() override { return child_->Open(); }
-
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    Row in;
-    KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(&in, lid));
-    if (!has) return false;
-    row->clear();
-    row->reserve(exprs_.size());
-    for (const auto& e : exprs_) {
-      KATHDB_ASSIGN_OR_RETURN(Value v, e->Eval(in, child_->output_schema()));
-      row->push_back(std::move(v));
-    }
-    if (!typed_) {
-      // Refine declared types from the first real row.
-      Schema refined;
-      for (size_t i = 0; i < row->size(); ++i) {
-        DataType t = (*row)[i].type();
-        refined.AddColumn(names_[i],
-                          t == DataType::kNull ? schema_.column(i).type : t);
-      }
-      schema_ = refined;
-      typed_ = true;
-    }
-    return true;
-  }
 
   Result<bool> NextChunk(Chunk* chunk) override {
     // Vectorized: evaluate every output expression column-at-a-time over
@@ -230,7 +159,7 @@ class ProjectOp : public Operator {
     std::vector<int64_t> lids(n);
     for (size_t i = 0; i < n; ++i) lids[i] = in.table->row_lid(sel[i]);
     if (!typed_ && n > 0) {
-      // Same refinement rule as the row path, read from the columns.
+      // Refine declared types from the first row (NULL keeps the guess).
       Schema refined;
       for (size_t i = 0; i < cols.size(); ++i) {
         DataType t = cols[i]->Get(0).type();
@@ -267,22 +196,141 @@ class ProjectOp : public Operator {
   bool typed_ = false;
 };
 
-// --------------------------------------------------------------- HashJoin
-class HashJoinOp : public Operator {
+// ------------------------------------------------------------------ Joins
+
+/// Shared skeleton of the two joins. Open() drains the right input into a
+/// columnar build table; NextChunk() walks the left chunks row by row,
+/// pairs each probe row with its candidate build rows (left-major, build
+/// rows in order), gathers blocks of at most kChunkRows pairs into output
+/// columns carrying the probe lids, and lets Select() narrow each block.
+class JoinOp : public Operator {
  public:
-  HashJoinOp(OperatorPtr left, OperatorPtr right, std::string lcol,
-             std::string rcol, std::string right_prefix)
+  JoinOp(OperatorPtr left, OperatorPtr right, const std::string& right_prefix)
       : left_(std::move(left)),
         right_(std::move(right)),
-        lcol_(std::move(lcol)),
-        rcol_(std::move(rcol)) {
-    schema_ = Schema::Concat(left_->output_schema(), right_->output_schema(),
-                             right_prefix);
-  }
+        schema_(Schema::Concat(left_->output_schema(),
+                               right_->output_schema(), right_prefix)) {}
 
   Status Open() override {
     KATHDB_RETURN_IF_ERROR(left_->Open());
-    KATHDB_RETURN_IF_ERROR(right_->Open());
+    KATHDB_ASSIGN_OR_RETURN(build_, Materialize(right_.get(), std::string()));
+    probe_ = Chunk();
+    probe_pos_ = 0;
+    cands_ = nullptr;
+    return Status::OK();
+  }
+
+  Result<bool> NextChunk(Chunk* chunk) override {
+    std::vector<uint32_t> lrows;
+    std::vector<uint32_t> rrows;
+    while (true) {
+      KATHDB_ASSIGN_OR_RETURN(bool has, NextPairs(&lrows, &rrows));
+      if (!has) return false;
+      TablePtr joined = Joined(lrows, rrows);
+      std::vector<uint32_t> sel;
+      KATHDB_ASSIGN_OR_RETURN(bool any, Select(*joined, &sel));
+      if (!any) continue;
+      *chunk = Chunk{std::move(joined), 0, lrows.size(), std::move(sel)};
+      return true;
+    }
+  }
+
+  void Close() override {
+    left_->Close();
+    build_ = Table();
+    probe_ = Chunk();
+  }
+  const Schema& output_schema() const override { return schema_; }
+
+ protected:
+  /// Build rows that pair with row `r` of the probe table; nullptr = none.
+  virtual const std::vector<uint32_t>* Candidates(const Table& probe,
+                                                  uint32_t r) = 0;
+  /// Narrows a block of joined pairs into *sel (empty = keep all); false
+  /// when no pair survives.
+  virtual Result<bool> Select(const Table&, std::vector<uint32_t>*) {
+    return true;
+  }
+
+  OperatorPtr left_;
+  OperatorPtr right_;
+  Schema schema_;
+  Table build_;
+
+ private:
+  /// Fills the next block of (probe row, build row) pairs, all from the
+  /// current left chunk; false once the left input is exhausted.
+  Result<bool> NextPairs(std::vector<uint32_t>* lrows,
+                         std::vector<uint32_t>* rrows) {
+    lrows->clear();
+    rrows->clear();
+    while (lrows->size() < kChunkRows) {
+      if (cands_ != nullptr && cand_pos_ < cands_->size()) {
+        size_t take = std::min(cands_->size() - cand_pos_,
+                               kChunkRows - lrows->size());
+        lrows->insert(lrows->end(), take, probe_row_);
+        rrows->insert(rrows->end(), cands_->begin() + cand_pos_,
+                      cands_->begin() + cand_pos_ + take);
+        cand_pos_ += take;
+        continue;
+      }
+      if (probe_pos_ == probe_.size()) {
+        if (!lrows->empty()) break;  // a block never spans two left chunks
+        KATHDB_ASSIGN_OR_RETURN(bool has, left_->NextChunk(&probe_));
+        if (!has) return false;
+        probe_pos_ = 0;
+      }
+      probe_row_ = probe_.sel.empty()
+                       ? static_cast<uint32_t>(probe_.begin + probe_pos_)
+                       : probe_.sel[probe_pos_];
+      ++probe_pos_;
+      cands_ = Candidates(*probe_.table, probe_row_);
+      cand_pos_ = 0;
+    }
+    return true;
+  }
+
+  /// The pairs as a table: left cells gathered from the probe table, right
+  /// cells from the build table, each row carrying its probe row's lid.
+  TablePtr Joined(const std::vector<uint32_t>& lrows,
+                  const std::vector<uint32_t>& rrows) const {
+    const Table& probe = *probe_.table;
+    const size_t n = lrows.size();
+    const size_t nleft = left_->output_schema().num_columns();
+    std::vector<ColumnPtr> cols;
+    cols.reserve(schema_.num_columns());
+    for (size_t c = 0; c < schema_.num_columns(); ++c) {
+      auto col = std::make_shared<ColumnVector>();
+      col->Reserve(n);
+      if (c < nleft) {
+        probe.GatherColumn(c, lrows.data(), n, col.get());
+      } else {
+        build_.GatherColumn(c - nleft, rrows.data(), n, col.get());
+      }
+      cols.push_back(std::move(col));
+    }
+    std::vector<int64_t> lids(n);
+    for (size_t i = 0; i < n; ++i) lids[i] = probe.row_lid(lrows[i]);
+    return std::make_shared<Table>(Table::FromColumns(
+        std::string(), schema_, std::move(cols), std::move(lids)));
+  }
+
+  Chunk probe_;  // current left chunk
+  size_t probe_pos_ = 0;
+  uint32_t probe_row_ = 0;
+  const std::vector<uint32_t>* cands_ = nullptr;
+  size_t cand_pos_ = 0;
+};
+
+class HashJoinOp : public JoinOp {
+ public:
+  HashJoinOp(OperatorPtr left, OperatorPtr right, std::string lcol,
+             std::string rcol, const std::string& right_prefix)
+      : JoinOp(std::move(left), std::move(right), right_prefix),
+        lcol_(std::move(lcol)),
+        rcol_(std::move(rcol)) {}
+
+  Status Open() override {
     ridx_ = right_->output_schema().IndexOf(rcol_);
     if (!ridx_.has_value()) {
       return Status::SyntacticError("hash join: right column '" + rcol_ +
@@ -293,156 +341,87 @@ class HashJoinOp : public Operator {
       return Status::SyntacticError("hash join: left column '" + lcol_ +
                                     "' not found");
     }
-    // Build side: materialize the right input columnar (chunked bulk
-    // appends) and index build rows by the hash of their key cell — the
-    // hash table holds row indices, not copies of the rows.
-    build_table_ = Table(std::string(), right_->output_schema());
-    Chunk chunk;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, right_->NextChunk(&chunk));
-      if (!has) break;
-      build_table_.Reserve(build_table_.num_rows() + chunk.size());
-      if (chunk.sel.empty()) {
-        build_table_.AppendSlice(*chunk.table, chunk.begin, chunk.end);
-      } else {
-        build_table_.AppendGather(*chunk.table, chunk.sel.data(),
-                                  chunk.sel.size());
+    KATHDB_RETURN_IF_ERROR(JoinOp::Open());
+    // Index build rows by the hash of their key cell — the hash table
+    // holds row indices, not copies of the rows. NULL keys never match.
+    buckets_.clear();
+    if (*ridx_ < build_.num_physical_columns()) {
+      const ColumnVector& key = build_.column(*ridx_);
+      buckets_.reserve(build_.num_rows());
+      for (uint32_t r = 0; r < build_.num_rows(); ++r) {
+        if (!key.IsNull(r)) buckets_[key.HashAt(r)].push_back(r);
       }
     }
-    right_->Close();
-    build_.clear();
-    if (build_table_.num_rows() > 0 &&
-        *ridx_ < build_table_.num_physical_columns()) {
-      build_.reserve(build_table_.num_rows());
-      const ColumnVector& key = build_table_.column(*ridx_);
-      for (size_t r = 0; r < build_table_.num_rows(); ++r) {
-        build_[key.HashAt(r)].push_back(static_cast<uint32_t>(r));
-      }
-    }
-    match_pos_ = 0;
-    matches_ = nullptr;
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    while (true) {
-      if (matches_ != nullptr && match_pos_ < matches_->size()) {
-        uint32_t r = (*matches_)[match_pos_++];
-        // Only emit genuine equals (hash collisions filtered here).
-        if (probe_row_[*lidx_] == build_table_.at(r, *ridx_)) {
-          *row = probe_row_;
-          Row rr = build_table_.row(r);
-          row->insert(row->end(), rr.begin(), rr.end());
-          *lid = probe_lid_;
-          return true;
-        }
-        continue;
-      }
-      KATHDB_ASSIGN_OR_RETURN(bool has, left_->Next(&probe_row_, &probe_lid_));
-      if (!has) return false;
-      auto it = build_.find(probe_row_[*lidx_].Hash());
-      matches_ = it == build_.end() ? nullptr : &it->second;
-      match_pos_ = 0;
-    }
-  }
-
-  void Close() override {
-    left_->Close();
-    build_.clear();
-    build_table_ = Table();
-  }
-  const Schema& output_schema() const override { return schema_; }
   std::string Describe() const override {
     return "HashJoin(" + lcol_ + " = " + rcol_ + ")";
   }
 
- private:
-  OperatorPtr left_;
-  OperatorPtr right_;
-  std::string lcol_;
-  std::string rcol_;
-  Schema schema_;
-  std::optional<size_t> lidx_;
-  std::optional<size_t> ridx_;
-  Table build_table_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> build_;
-  Row probe_row_;
-  int64_t probe_lid_ = 0;
-  const std::vector<uint32_t>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-};
-
-// --------------------------------------------------------- NestedLoopJoin
-class NestedLoopJoinOp : public Operator {
- public:
-  NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr pred,
-                   std::string right_prefix)
-      : left_(std::move(left)), right_(std::move(right)),
-        pred_(std::move(pred)) {
-    schema_ = Schema::Concat(left_->output_schema(), right_->output_schema(),
-                             right_prefix);
+ protected:
+  const std::vector<uint32_t>* Candidates(const Table& probe,
+                                          uint32_t r) override {
+    // Genuine equals only (hash collisions are dropped here), compared
+    // exactly as `lcol = rcol` compares them.
+    size_t p = probe.offset() + r;
+    if (*lidx_ >= probe.num_physical_columns()) return nullptr;  // all NULL
+    auto it = buckets_.find(probe.column(*lidx_).HashAt(p));
+    if (it == buckets_.end()) return nullptr;
+    Value key = probe.column(*lidx_).Get(p);
+    matches_.clear();
+    for (uint32_t b : it->second) {
+      if (build_.column(*ridx_).Get(b) == key) matches_.push_back(b);
+    }
+    return &matches_;
   }
 
+ private:
+  std::string lcol_;
+  std::string rcol_;
+  std::optional<size_t> lidx_;
+  std::optional<size_t> ridx_;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
+  std::vector<uint32_t> matches_;  // the current probe row's candidates
+};
+
+class NestedLoopJoinOp : public JoinOp {
+ public:
+  NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr pred,
+                   const std::string& right_prefix)
+      : JoinOp(std::move(left), std::move(right), right_prefix),
+        pred_(std::move(pred)) {}
+
   Status Open() override {
-    KATHDB_RETURN_IF_ERROR(left_->Open());
-    KATHDB_RETURN_IF_ERROR(right_->Open());
-    Row row;
-    int64_t lid = 0;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, right_->Next(&row, &lid));
-      if (!has) break;
-      right_rows_.push_back(row);
-    }
-    right_->Close();
-    rpos_ = right_rows_.size();  // force first left fetch
+    KATHDB_RETURN_IF_ERROR(JoinOp::Open());
+    all_rows_.resize(build_.num_rows());
+    std::iota(all_rows_.begin(), all_rows_.end(), 0u);
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    while (true) {
-      if (rpos_ >= right_rows_.size()) {
-        KATHDB_ASSIGN_OR_RETURN(bool has,
-                                left_->Next(&probe_row_, &probe_lid_));
-        if (!has) return false;
-        rpos_ = 0;
-      }
-      while (rpos_ < right_rows_.size()) {
-        Row joined = probe_row_;
-        const Row& r = right_rows_[rpos_++];
-        joined.insert(joined.end(), r.begin(), r.end());
-        KATHDB_ASSIGN_OR_RETURN(Value v, pred_->Eval(joined, schema_));
-        if (!v.is_null() && v.AsBool()) {
-          *row = std::move(joined);
-          *lid = probe_lid_;
-          return true;
-        }
-      }
-    }
-  }
-
-  void Close() override {
-    left_->Close();
-    right_rows_.clear();
-  }
-  const Schema& output_schema() const override { return schema_; }
   std::string Describe() const override {
     return "NestedLoopJoin(" + pred_->ToString() + ")";
   }
 
+ protected:
+  const std::vector<uint32_t>* Candidates(const Table&, uint32_t) override {
+    return &all_rows_;
+  }
+  Result<bool> Select(const Table& joined,
+                      std::vector<uint32_t>* sel) override {
+    KATHDB_RETURN_IF_ERROR(
+        EvalPredicateSelect(*pred_, joined, 0, joined.num_rows(), sel));
+    return !sel->empty();
+  }
+
  private:
-  OperatorPtr left_;
-  OperatorPtr right_;
   ExprPtr pred_;
-  Schema schema_;
-  std::vector<Row> right_rows_;
-  Row probe_row_;
-  int64_t probe_lid_ = 0;
-  size_t rpos_ = 0;
+  std::vector<uint32_t> all_rows_;
 };
 
 // -------------------------------------------------------------- Aggregate
 
-/// Output schema shared by both aggregate kernels: group columns keep
+/// Aggregate output schema: group columns keep
 /// their input type, COUNT is INT, SUM/AVG are DOUBLE, MIN/MAX keep the
 /// input column's declared type.
 Schema AggOutputSchema(const Schema& in,
@@ -466,8 +445,7 @@ Schema AggOutputSchema(const Schema& in,
   return schema;
 }
 
-/// Resolves group/aggregate input columns against the child schema; both
-/// kernels fail with identical messages.
+/// Resolves group/aggregate input columns against the child schema.
 Status ResolveAggColumns(const Schema& in,
                          const std::vector<std::string>& group_cols,
                          const std::vector<AggSpec>& aggs,
@@ -495,146 +473,50 @@ Status ResolveAggColumns(const Schema& in,
   return Status::OK();
 }
 
-/// The seed/multiplier of the multiplicative group-key hash fold. Both
-/// kernels key groups purely on this 64-bit hash (first-seen order), so
-/// they agree bit-for-bit — including on the astronomically unlikely
-/// collision that would merge two groups.
+/// The seed/multiplier of the multiplicative group-key hash fold. Groups
+/// (and DISTINCT rows) are keyed purely on this 64-bit hash, first-seen
+/// order — an astronomically unlikely collision would merge two groups.
 constexpr uint64_t kGroupHashSeed = 0x9E3779B97F4A7C15ULL;
 constexpr uint64_t kGroupHashMul = 1315423911ULL;
 /// Value::Null().Hash(), folded for group keys on missing columns.
 constexpr uint64_t kNullValueHash = 0x6b617468ULL;
 
-class RowAggregateOp : public Operator {
- public:
-  RowAggregateOp(OperatorPtr child, std::vector<std::string> group_cols,
-                 std::vector<AggSpec> aggs)
-      : child_(std::move(child)),
-        group_cols_(std::move(group_cols)),
-        aggs_(std::move(aggs)),
-        schema_(AggOutputSchema(child_->output_schema(), group_cols_,
-                                aggs_)) {}
+/// Physical row index (offset() included) of every row of `chunk`, in
+/// chunk order.
+void PhysicalRows(const Chunk& chunk, std::vector<uint32_t>* phys) {
+  const size_t off = chunk.table->offset();
+  const size_t n = chunk.size();
+  phys->resize(n);
+  if (chunk.sel.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      (*phys)[i] = static_cast<uint32_t>(off + chunk.begin + i);
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      (*phys)[i] = static_cast<uint32_t>(off + chunk.sel[i]);
+    }
+  }
+}
 
-  Status Open() override {
-    KATHDB_RETURN_IF_ERROR(child_->Open());
-    const Schema& in = child_->output_schema();
-    std::vector<size_t> gidx;
-    std::vector<std::optional<size_t>> aidx;
-    KATHDB_RETURN_IF_ERROR(
-        ResolveAggColumns(in, group_cols_, aggs_, &gidx, &aidx));
-
-    struct AggState {
-      int64_t count = 0;
-      double sum = 0.0;
-      Value min, max;
-      bool seen = false;
-    };
-    struct GroupState {
-      Row key;
-      std::vector<AggState> states;
-    };
-    std::unordered_map<uint64_t, GroupState> groups;
-    std::vector<uint64_t> order;
-
-    Row row;
-    int64_t lid = 0;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(&row, &lid));
-      if (!has) break;
-      uint64_t h = 0x9E3779B97F4A7C15ULL;
-      Row key;
-      for (size_t gi : gidx) {
-        key.push_back(row[gi]);
-        h = h * 1315423911ULL + row[gi].Hash();
-      }
-      auto it = groups.find(h);
-      if (it == groups.end()) {
-        GroupState gs;
-        gs.key = key;
-        gs.states.resize(aggs_.size());
-        it = groups.emplace(h, std::move(gs)).first;
-        order.push_back(h);
-      }
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        AggState& st = it->second.states[i];
-        ++st.count;
-        if (aidx[i].has_value()) {
-          const Value& v = row[*aidx[i]];
-          if (!v.is_null()) {
-            st.sum += v.AsDouble();
-            if (!st.seen || v.Compare(st.min) < 0) st.min = v;
-            if (!st.seen || v.Compare(st.max) > 0) st.max = v;
-            st.seen = true;
-          }
-        }
+/// Group-key hash of every row named by `phys` over key columns `cols`:
+/// one typed fold pass per column. GROUP BY and DISTINCT both key rows
+/// with it, so they agree on which rows are duplicates.
+void GroupKeyHashes(const Table& t, const std::vector<size_t>& cols,
+                    const std::vector<uint32_t>& phys,
+                    std::vector<uint64_t>* hashes) {
+  const size_t n = phys.size();
+  hashes->assign(n, kGroupHashSeed);
+  for (size_t c : cols) {
+    if (c < t.num_physical_columns()) {
+      t.column(c).FoldHashGather(phys.data(), n, kGroupHashMul,
+                                 hashes->data());
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        (*hashes)[i] = (*hashes)[i] * kGroupHashMul + kNullValueHash;
       }
     }
-    child_->Close();
-
-    // Global aggregate over empty input still yields one row.
-    if (groups.empty() && group_cols_.empty()) {
-      GroupState gs;
-      gs.states.resize(aggs_.size());
-      groups.emplace(0, std::move(gs));
-      order.push_back(0);
-    }
-
-    for (uint64_t h : order) {
-      GroupState& gs = groups[h];
-      Row out = gs.key;
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        const AggState& st = gs.states[i];
-        switch (aggs_[i].fn) {
-          case AggFn::kCount:
-            out.push_back(Value::Int(st.count));
-            break;
-          case AggFn::kSum:
-            out.push_back(Value::Double(st.sum));
-            break;
-          case AggFn::kAvg:
-            out.push_back(st.count == 0
-                              ? Value::Null()
-                              : Value::Double(st.sum /
-                                              static_cast<double>(st.count)));
-            break;
-          case AggFn::kMin:
-            out.push_back(st.seen ? st.min : Value::Null());
-            break;
-          case AggFn::kMax:
-            out.push_back(st.seen ? st.max : Value::Null());
-            break;
-        }
-      }
-      results_.push_back(std::move(out));
-    }
-    pos_ = 0;
-    return Status::OK();
   }
-
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (pos_ >= results_.size()) return false;
-    *row = results_[pos_++];
-    *lid = 0;  // wide dependency: table-level lineage only (Section 3)
-    return true;
-  }
-
-  void Close() override { results_.clear(); }
-  const Schema& output_schema() const override { return schema_; }
-  std::string Describe() const override {
-    return "Aggregate(groups=" + std::to_string(group_cols_.size()) +
-           ", aggs=" + std::to_string(aggs_.size()) + ")";
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<std::string> group_cols_;
-  std::vector<AggSpec> aggs_;
-  Schema schema_;
-  std::vector<Row> results_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------- Aggregate (columnar kernel)
-
+}
 /// Open-addressing linear-probe map from 64-bit group hash to dense group
 /// id: two flat arrays, power-of-two capacity, <= 50% load — the
 /// SHIP/Othello-style memory-dense lookup layout, no per-node allocation
@@ -691,8 +573,8 @@ class GroupIndex {
 /// matching the input column's encoding, demoted to boxed Values only
 /// when a column genuinely mixes types. Replacement uses the exact
 /// Value::Compare ordering (numerics compare as doubles, strict compare
-/// keeps the first value on ties) so results match the row kernel
-/// bit-for-bit.
+/// keeps the first value on ties) so results match a boxed row-at-a-time
+/// fold bit-for-bit.
 struct MinMaxAcc {
   ColumnEncoding mode = ColumnEncoding::kEmpty;  // active storage
   std::vector<uint8_t> seen;
@@ -766,8 +648,8 @@ struct MinMaxAcc {
 };
 
 /// sums[gid[i]] += AsDouble(col[phys[i]]) for non-NULL cells, in row
-/// order — FP accumulation order matches the row kernel exactly, so the
-/// resulting doubles are bit-identical. Strings coerce to 0.0 (kDict is a
+/// order — FP accumulation order matches a row-at-a-time fold exactly, so
+/// the resulting doubles are bit-identical. Strings coerce to 0.0 (kDict is a
 /// no-op) and kEmpty columns are all NULL.
 void AccumulateSum(const ColumnVector& col, const std::vector<uint32_t>& phys,
                    const std::vector<uint32_t>& gid, double* sums) {
@@ -834,7 +716,7 @@ void AccumulateMinMax(const ColumnVector& col,
     case ColumnEncoding::kInt: {
       // Replacement is a strict *double* comparison — exactly
       // Value::Compare — so large-int64 precision ties keep the first
-      // value, as the row kernel does.
+      // value.
       int64_t* cur = acc->i64.data();
       for (size_t i = 0; i < n; ++i) {
         uint32_t p = phys[i];
@@ -893,10 +775,10 @@ void AccumulateMinMax(const ColumnVector& col,
   }
 }
 
-class ColumnarAggregateOp : public Operator {
+class AggregateOp : public Operator {
  public:
-  ColumnarAggregateOp(OperatorPtr child, std::vector<std::string> group_cols,
-                      std::vector<AggSpec> aggs)
+  AggregateOp(OperatorPtr child, std::vector<std::string> group_cols,
+              std::vector<AggSpec> aggs)
       : child_(std::move(child)),
         group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)),
@@ -932,33 +814,11 @@ class ColumnarAggregateOp : public Operator {
       KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(&chunk));
       if (!has) break;
       const Table& t = *chunk.table;
-      const size_t off = t.offset();
       const size_t n = chunk.size();
-      // Physical row index per chunk position, shared by every pass.
-      phys.resize(n);
-      if (chunk.sel.empty()) {
-        for (size_t i = 0; i < n; ++i) {
-          phys[i] = static_cast<uint32_t>(off + chunk.begin + i);
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          phys[i] = static_cast<uint32_t>(off + chunk.sel[i]);
-        }
-      }
-      // Multi-column group hash: one typed fold pass per key column.
-      hashes.assign(n, kGroupHashSeed);
-      for (size_t k = 0; k < gidx.size(); ++k) {
-        if (gidx[k] < t.num_physical_columns()) {
-          t.column(gidx[k]).FoldHashGather(phys.data(), n, kGroupHashMul,
-                                           hashes.data());
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            hashes[i] = hashes[i] * kGroupHashMul + kNullValueHash;
-          }
-        }
-      }
+      PhysicalRows(chunk, &phys);  // shared by every pass below
+      GroupKeyHashes(t, gidx, phys, &hashes);
       // Group-id pass; rows that created a group gather their key cells
-      // in bulk below (first-seen order, like the row kernel).
+      // in bulk below (first-seen order).
       gid.resize(n);
       new_rows.clear();
       for (size_t i = 0; i < n; ++i) {
@@ -1036,22 +896,8 @@ class ColumnarAggregateOp : public Operator {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (result_ == nullptr || pos_ >= result_->num_rows()) return false;
-    *row = result_->row(pos_);
-    *lid = 0;  // wide dependency: table-level lineage only (Section 3)
-    ++pos_;
-    return true;
-  }
-
   Result<bool> NextChunk(Chunk* chunk) override {
-    if (result_ == nullptr || pos_ >= result_->num_rows()) return false;
-    chunk->table = result_;
-    chunk->begin = pos_;
-    chunk->end = std::min(pos_ + kChunkRows, result_->num_rows());
-    chunk->sel.clear();
-    pos_ = chunk->end;
-    return true;
+    return result_ != nullptr && NextWindow(result_, &pos_, chunk);
   }
 
   void Close() override { result_.reset(); }
@@ -1126,8 +972,8 @@ class ColumnarAggregateOp : public Operator {
         return ColumnVector::FromDoubles(acc.f64, std::move(bits));
       case ColumnEncoding::kDict:
       case ColumnEncoding::kMixed: {
-        // Boxed assembly: one cell per group, same appends as the row
-        // kernel so the output encoding matches it too.
+        // Boxed assembly: one cell per group, appended as Values so the
+        // output encoding follows the values (kDict or kMixed).
         auto col = std::make_shared<ColumnVector>();
         col->Reserve(ngroups);
         for (uint32_t g = 0; g < ngroups; ++g) {
@@ -1152,72 +998,6 @@ class ColumnarAggregateOp : public Operator {
   std::vector<AggSpec> aggs_;
   Schema schema_;
   TablePtr result_;
-  size_t pos_ = 0;
-};
-
-// ------------------------------------------------------------------- Sort
-class RowSortOp : public Operator {
- public:
-  RowSortOp(OperatorPtr child, std::vector<SortKey> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
-
-  Status Open() override {
-    KATHDB_RETURN_IF_ERROR(child_->Open());
-    const Schema& in = child_->output_schema();
-    std::vector<std::pair<size_t, bool>> kidx;
-    for (const auto& k : keys_) {
-      auto idx = in.IndexOf(k.column);
-      if (!idx.has_value()) {
-        return Status::SyntacticError("sort by unknown column '" + k.column +
-                                      "'");
-      }
-      kidx.emplace_back(*idx, k.descending);
-    }
-    Row row;
-    int64_t lid = 0;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(&row, &lid));
-      if (!has) break;
-      rows_.emplace_back(std::move(row), lid);
-    }
-    child_->Close();
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [&](const auto& a, const auto& b) {
-                       for (const auto& [idx, desc] : kidx) {
-                         int c = a.first[idx].Compare(b.first[idx]);
-                         if (c != 0) return desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
-    pos_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (pos_ >= rows_.size()) return false;
-    *row = rows_[pos_].first;
-    *lid = rows_[pos_].second;
-    ++pos_;
-    return true;
-  }
-
-  void Close() override { rows_.clear(); }
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  std::string Describe() const override {
-    std::string out = "Sort(";
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += keys_[i].column + (keys_[i].descending ? " DESC" : " ASC");
-    }
-    return out + ")";
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<SortKey> keys_;
-  std::vector<std::pair<Row, int64_t>> rows_;
   size_t pos_ = 0;
 };
 
@@ -1325,13 +1105,12 @@ uint64_t PackSortKey(const SortKeyCol& k, size_t p) {
   }
 }
 
-class ColumnarSortOp : public Operator {
+class SortOp : public Operator {
  public:
-  ColumnarSortOp(OperatorPtr child, std::vector<SortKey> keys)
+  SortOp(OperatorPtr child, std::vector<SortKey> keys)
       : child_(std::move(child)), keys_(std::move(keys)) {}
 
   Status Open() override {
-    KATHDB_RETURN_IF_ERROR(child_->Open());
     const Schema& in = child_->output_schema();
     std::vector<std::pair<size_t, bool>> kidx;
     for (const auto& k : keys_) {
@@ -1345,20 +1124,9 @@ class ColumnarSortOp : public Operator {
     // Gather the input once (chunked bulk appends), then sort an index
     // permutation: rows are never boxed and never move until a consumer
     // gathers the permutation out.
-    input_ = std::make_shared<Table>(std::string(), in);
-    Chunk chunk;
-    while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(&chunk));
-      if (!has) break;
-      input_->Reserve(input_->num_rows() + chunk.size());
-      if (chunk.sel.empty()) {
-        input_->AppendSlice(*chunk.table, chunk.begin, chunk.end);
-      } else {
-        input_->AppendGather(*chunk.table, chunk.sel.data(),
-                             chunk.sel.size());
-      }
-    }
-    child_->Close();
+    KATHDB_ASSIGN_OR_RETURN(Table input, Materialize(child_.get(),
+                                                     std::string()));
+    input_ = std::make_shared<Table>(std::move(input));
     const size_t n = input_->num_rows();
     perm_.resize(n);
     std::iota(perm_.begin(), perm_.end(), 0u);
@@ -1471,14 +1239,6 @@ class ColumnarSortOp : public Operator {
     return true;
   }
 
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (pos_ >= perm_.size()) return false;
-    *row = input_->row(perm_[pos_]);
-    *lid = input_->row_lid(perm_[pos_]);
-    ++pos_;
-    return true;
-  }
-
   Result<bool> NextChunk(Chunk* chunk) override {
     // Zero extra materialization: chunks are selection-vector windows of
     // the permutation over the gathered input; AppendGather carries the
@@ -1527,11 +1287,19 @@ class LimitOp : public Operator {
     emitted_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Row* row, int64_t* lid) override {
+  Result<bool> NextChunk(Chunk* chunk) override {
+    // Stops pulling once the limit is reached; the chunk that crosses it
+    // is trimmed (its window or its selection vector).
     if (emitted_ >= limit_) return false;
-    KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(row, lid));
+    KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(chunk));
     if (!has) return false;
-    ++emitted_;
+    size_t take = std::min(chunk->size(), limit_ - emitted_);
+    if (chunk->sel.empty()) {
+      chunk->end = chunk->begin + take;
+    } else {
+      chunk->sel.resize(take);
+    }
+    emitted_ += take;
     return true;
   }
   void Close() override { child_->Close(); }
@@ -1551,22 +1319,40 @@ class LimitOp : public Operator {
 // --------------------------------------------------------------- Distinct
 class DistinctOp : public Operator {
  public:
-  explicit DistinctOp(OperatorPtr child) : child_(std::move(child)) {}
+  explicit DistinctOp(OperatorPtr child)
+      : child_(std::move(child)),
+        cols_(child_->output_schema().num_columns()) {
+    std::iota(cols_.begin(), cols_.end(), size_t{0});
+  }
 
   Status Open() override {
-    seen_.clear();
+    index_ = GroupIndex();
+    seen_ = 0;
     return child_->Open();
   }
-  Result<bool> Next(Row* row, int64_t* lid) override {
+  Result<bool> NextChunk(Chunk* chunk) override {
+    // Keys every row by its all-column group hash and passes the
+    // first-seen rows on as a selection over the child's chunk.
+    std::vector<uint32_t> phys;
+    std::vector<uint64_t> hashes;
     while (true) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, child_->Next(row, lid));
+      KATHDB_ASSIGN_OR_RETURN(bool has, child_->NextChunk(chunk));
       if (!has) return false;
-      std::string key;
-      for (const auto& v : *row) {
-        key += v.ToString();
-        key += '\x01';
+      PhysicalRows(*chunk, &phys);
+      GroupKeyHashes(*chunk->table, cols_, phys, &hashes);
+      const uint32_t off = static_cast<uint32_t>(chunk->table->offset());
+      std::vector<uint32_t> keep;
+      for (size_t i = 0; i < phys.size(); ++i) {
+        bool inserted = false;
+        index_.LookupOrInsert(hashes[i], seen_, &inserted);
+        if (inserted) {
+          ++seen_;
+          keep.push_back(phys[i] - off);
+        }
       }
-      if (seen_.insert(key).second) return true;
+      if (keep.empty()) continue;
+      chunk->sel = std::move(keep);
+      return true;
     }
   }
   void Close() override { child_->Close(); }
@@ -1577,48 +1363,9 @@ class DistinctOp : public Operator {
 
  private:
   OperatorPtr child_;
-  std::unordered_set<std::string> seen_;
-};
-
-// --------------------------------------------------------------- UnionAll
-class UnionAllOp : public Operator {
- public:
-  UnionAllOp(OperatorPtr left, OperatorPtr right)
-      : left_(std::move(left)), right_(std::move(right)) {}
-
-  Status Open() override {
-    if (!(left_->output_schema() == right_->output_schema())) {
-      return Status::SyntacticError("UNION ALL schema mismatch: " +
-                                    left_->output_schema().ToString() +
-                                    " vs " +
-                                    right_->output_schema().ToString());
-    }
-    KATHDB_RETURN_IF_ERROR(left_->Open());
-    KATHDB_RETURN_IF_ERROR(right_->Open());
-    on_left_ = true;
-    return Status::OK();
-  }
-  Result<bool> Next(Row* row, int64_t* lid) override {
-    if (on_left_) {
-      KATHDB_ASSIGN_OR_RETURN(bool has, left_->Next(row, lid));
-      if (has) return true;
-      on_left_ = false;
-    }
-    return right_->Next(row, lid);
-  }
-  void Close() override {
-    left_->Close();
-    right_->Close();
-  }
-  const Schema& output_schema() const override {
-    return left_->output_schema();
-  }
-  std::string Describe() const override { return "UnionAll"; }
-
- private:
-  OperatorPtr left_;
-  OperatorPtr right_;
-  bool on_left_ = true;
+  std::vector<size_t> cols_;  // every column is part of the key
+  GroupIndex index_;
+  uint32_t seen_ = 0;  // distinct rows so far
 };
 
 }  // namespace
@@ -1650,31 +1397,19 @@ OperatorPtr MakeNestedLoopJoin(OperatorPtr left, OperatorPtr right,
 }
 OperatorPtr MakeAggregate(OperatorPtr child,
                           std::vector<std::string> group_cols,
-                          std::vector<AggSpec> aggs, ExecImpl impl) {
-  if (impl == ExecImpl::kRow) {
-    return std::make_unique<RowAggregateOp>(std::move(child),
-                                            std::move(group_cols),
-                                            std::move(aggs));
-  }
-  return std::make_unique<ColumnarAggregateOp>(std::move(child),
-                                               std::move(group_cols),
-                                               std::move(aggs));
+                          std::vector<AggSpec> aggs) {
+  return std::make_unique<AggregateOp>(std::move(child),
+                                       std::move(group_cols),
+                                       std::move(aggs));
 }
-OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys,
-                     ExecImpl impl) {
-  if (impl == ExecImpl::kRow) {
-    return std::make_unique<RowSortOp>(std::move(child), std::move(keys));
-  }
-  return std::make_unique<ColumnarSortOp>(std::move(child), std::move(keys));
+OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys) {
+  return std::make_unique<SortOp>(std::move(child), std::move(keys));
 }
 OperatorPtr MakeLimit(OperatorPtr child, size_t limit) {
   return std::make_unique<LimitOp>(std::move(child), limit);
 }
 OperatorPtr MakeDistinct(OperatorPtr child) {
   return std::make_unique<DistinctOp>(std::move(child));
-}
-OperatorPtr MakeUnionAll(OperatorPtr left, OperatorPtr right) {
-  return std::make_unique<UnionAllOp>(std::move(left), std::move(right));
 }
 
 }  // namespace kathdb::rel

@@ -1,9 +1,11 @@
 /// \file ops.h
-/// \brief Volcano-style physical operators over in-memory tables.
+/// \brief Chunk-pulling physical operators over in-memory columnar tables.
 ///
 /// These are KathDB's classical relational operators. FAO function bodies
 /// of kind "SQL sub-query" lower to trees of these operators; the optimizer
-/// also uses them directly for rewrites such as predicate pushdown.
+/// also uses them directly for rewrites such as predicate pushdown. Every
+/// operator pulls batches of up to kChunkRows rows from its children;
+/// none materializes a row as a vector of Values.
 ///
 /// \ingroup kathdb_relational
 
@@ -38,25 +40,21 @@ struct Chunk {
 /// working set of a chunk stays cache-resident).
 inline constexpr size_t kChunkRows = 2048;
 
-/// \brief Pull-based operator interface: Open / Next / Close.
+/// \brief Pull-based operator interface: Open / NextChunk / Close.
 ///
-/// Operators expose two pull granularities: row-at-a-time Next() (the
-/// classical volcano contract, kept for joins/aggregates and as the
-/// differential-testing reference) and NextChunk(), which produces a
-/// batch of rows at once. Scan, filter and project implement NextChunk
-/// natively (columnar, no per-row Value materialization); every other
-/// operator inherits an adapter that builds chunks from Next() pulls.
+/// One contract for every operator: NextChunk() produces the next batch
+/// of rows as a Chunk (a window or selection over a shared table, with
+/// the rows' lineage ids riding in the table). Scan, filter, project,
+/// the joins, limit and distinct stream; aggregate and sort block on
+/// their input at Open().
 class Operator {
  public:
   virtual ~Operator() = default;
 
   virtual Status Open() = 0;
-  /// Produces the next row into *row (and its lineage id into *lid, 0 when
-  /// untracked). Returns false when exhausted.
-  virtual Result<bool> Next(Row* row, int64_t* lid) = 0;
   /// Produces the next batch of rows. Returns false when exhausted; never
-  /// produces an empty chunk. Default implementation adapts Next().
-  virtual Result<bool> NextChunk(Chunk* chunk);
+  /// produces an empty chunk.
+  virtual Result<bool> NextChunk(Chunk* chunk) = 0;
   virtual void Close() = 0;
 
   /// Output schema, valid after construction.
@@ -68,14 +66,9 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Runs an operator tree to completion into a named table, consuming
-/// chunks (bulk column appends; the fast path).
+/// Opens `op`, drains it into a named table with bulk column appends
+/// and closes it.
 Result<Table> Materialize(Operator* op, const std::string& name);
-
-/// Row-at-a-time reference implementation of Materialize. Kept as the
-/// baseline the differential tests (and benchmarks) compare the chunked
-/// path against; produces byte-identical tables.
-Result<Table> MaterializeRows(Operator* op, const std::string& name);
 
 /// Leaf scan over a materialized table.
 OperatorPtr MakeSeqScan(TablePtr table);
@@ -89,12 +82,17 @@ OperatorPtr MakeProject(OperatorPtr child, std::vector<ExprPtr> exprs,
                         std::vector<std::string> names);
 
 /// Equi-join: builds a hash table on `right_col` of the right input and
-/// probes with `left_col`. Output schema is Concat(left, right, right name).
+/// probes it one left chunk at a time with `left_col`. Keys match exactly
+/// when `left_col = right_col` is true: NULL keys never match, INT 3
+/// matches DOUBLE 3.0, a string never matches a number. Output schema is
+/// Concat(left, right, right name); output rows carry the probe lids.
 OperatorPtr MakeHashJoin(OperatorPtr left, OperatorPtr right,
                          std::string left_col, std::string right_col,
                          std::string right_prefix = "r");
 
-/// General theta-join evaluated over the concatenated row.
+/// General theta-join: the predicate is evaluated vectorized over blocks
+/// of at most kChunkRows left x right pairs, left-major with right rows in
+/// input order. Output rows carry the left lids.
 OperatorPtr MakeNestedLoopJoin(OperatorPtr left, OperatorPtr right,
                                ExprPtr predicate,
                                std::string right_prefix = "r");
@@ -109,39 +107,31 @@ struct AggSpec {
   std::string output_name;
 };
 
-/// Kernel selector for operators that keep two implementations: the
-/// chunk-native columnar kernel (default — typed accumulator arrays, no
-/// per-row Value boxing) and the original row-at-a-time path, retained as
-/// the reference the differential tests and benchmarks compare against.
-enum class ExecImpl { kColumnar, kRow };
-
-/// Hash aggregation grouped by `group_cols` (may be empty = global).
-/// Groups are keyed by a 64-bit hash of the key cells (first-seen output
-/// order); both kernels produce byte-identical tables.
+/// Hash aggregation grouped by `group_cols` (may be empty = global) over
+/// typed accumulator arrays. Groups are keyed by a 64-bit hash of the key
+/// cells, in first-seen output order.
 OperatorPtr MakeAggregate(OperatorPtr child,
                           std::vector<std::string> group_cols,
-                          std::vector<AggSpec> aggs,
-                          ExecImpl impl = ExecImpl::kColumnar);
+                          std::vector<AggSpec> aggs);
 
 struct SortKey {
   std::string column;
   bool descending = false;
 };
 
-/// Blocking stable sort. The columnar kernel sorts an index permutation
-/// over the materialized input with typed key comparators (dictionary
-/// columns compare by precomputed code rank) and streams the permutation
-/// out as selection-vector chunks; the row kernel stable-sorts boxed rows.
-OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys,
-                     ExecImpl impl = ExecImpl::kColumnar);
+/// Blocking stable sort: sorts an index permutation over the materialized
+/// input with typed key comparators (dictionary columns compare by
+/// precomputed code rank) and streams the permutation out as
+/// selection-vector chunks.
+OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys);
 
-/// Emits at most `limit` rows.
+/// Emits at most `limit` rows and stops pulling its input once they are
+/// out.
 OperatorPtr MakeLimit(OperatorPtr child, size_t limit);
 
-/// Removes duplicate rows (all columns).
+/// Removes duplicate rows, keeping the first of each. Rows are keyed by
+/// the same all-column hash GROUP BY uses, so DISTINCT x and GROUP BY x
+/// agree on which rows are duplicates.
 OperatorPtr MakeDistinct(OperatorPtr child);
-
-/// Concatenates two inputs with identical schemas.
-OperatorPtr MakeUnionAll(OperatorPtr left, OperatorPtr right);
 
 }  // namespace kathdb::rel

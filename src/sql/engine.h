@@ -4,7 +4,7 @@
 /// FAO function bodies of kind "sql" execute through this engine; the
 /// baselines and tests also use it directly. The engine resolves qualified
 /// column references introduced by joins, lowers statements onto the
-/// volcano operators in relational/ops.h, and materializes results.
+/// chunk-pulling operators in relational/ops.h, and materializes results.
 ///
 /// \ingroup kathdb_sql
 

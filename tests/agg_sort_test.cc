@@ -1,12 +1,12 @@
 /// \file agg_sort_test.cc
 /// \brief Differential tests: the columnar aggregate/sort kernels against
-/// the retained row-at-a-time reference implementations.
+/// the row-at-a-time reference (tests/support/row_reference.h).
 ///
-/// Every case runs the SAME logical plan four ways — {row kernel,
-/// columnar kernel} x {MaterializeRows, Materialize} — and requires all
-/// four tables to be byte-identical: schema, cells with their exact
-/// types, lineage ids, fingerprints. The shapes sweep key/input types
-/// (int, double, dictionary string, bool, type-mixed), NULLs in keys and
+/// Every case runs the SAME logical plan through the chunked operators
+/// and through the row reference, and requires the two tables to be
+/// byte-identical: schema, cells with their exact types, lineage ids,
+/// fingerprints. The shapes sweep key/input types (int, double,
+/// dictionary string, bool, type-mixed), NULLs in keys and
 /// aggregate inputs, hash-collision-prone multi-key groupings, global
 /// aggregates over empty and non-empty inputs, multi-chunk inputs (past
 /// kChunkRows), zero-copy view inputs, NaN sort keys and stable-sort
@@ -17,13 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "relational/table.h"
+#include "support/row_reference.h"
 
 namespace kathdb::rel {
 namespace {
@@ -45,36 +45,43 @@ void ExpectIdentical(const Table& a, const Table& b, const char* label) {
   }
 }
 
-using PlanFn = std::function<OperatorPtr(TablePtr, ExecImpl)>;
+using rowref::Chunked;
+using rowref::Rows;
 
-/// Runs `make` four ways and requires one identical answer.
-void ExpectFourWayIdentical(const TablePtr& input, const PlanFn& make) {
-  auto run = [&](ExecImpl impl, bool chunked) {
-    auto op = make(input, impl);
-    auto r = chunked ? Materialize(op.get(), "out")
-                     : MaterializeRows(op.get(), "out");
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? std::move(*r) : Table();
-  };
-  Table row_rows = run(ExecImpl::kRow, false);
-  Table row_chunked = run(ExecImpl::kRow, true);
-  Table col_rows = run(ExecImpl::kColumnar, false);
-  Table col_chunked = run(ExecImpl::kColumnar, true);
-  ExpectIdentical(row_rows, row_chunked, "row kernel rows-vs-chunked");
-  ExpectIdentical(row_rows, col_rows, "row-vs-columnar (row pull)");
-  ExpectIdentical(row_rows, col_chunked, "row-vs-columnar (chunked pull)");
+/// Materializes `plan` with builder `Ops`; failures are test failures.
+template <typename Ops, typename Plan>
+Table RunWith(const TablePtr& input, const Plan& plan) {
+  auto r = Ops::Run(plan(Ops{}, input));
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? std::move(*r) : Table();
 }
 
-PlanFn AggPlan(std::vector<std::string> groups, std::vector<AggSpec> aggs) {
-  return [groups = std::move(groups), aggs = std::move(aggs)](
-             TablePtr t, ExecImpl impl) {
-    return MakeAggregate(MakeSeqScan(std::move(t)), groups, aggs, impl);
+/// Runs `plan` through the row reference and the chunked operators and
+/// requires one identical answer.
+template <typename Plan>
+void ExpectMatchesReference(const TablePtr& input, const Plan& plan) {
+  ExpectIdentical(RunWith<Rows>(input, plan), RunWith<Chunked>(input, plan),
+                  "row reference vs chunked");
+}
+
+/// Error message of `plan` under builder `Ops` (empty if it succeeded).
+template <typename Ops, typename Plan>
+std::string ErrorWith(const TablePtr& input, const Plan& plan) {
+  auto r = Ops::Run(plan(Ops{}, input));
+  EXPECT_FALSE(r.ok());
+  return r.ok() ? std::string() : r.status().message();
+}
+
+auto AggPlan(std::vector<std::string> groups, std::vector<AggSpec> aggs) {
+  return [groups = std::move(groups), aggs = std::move(aggs)](auto ops,
+                                                              TablePtr t) {
+    return ops.Aggregate(ops.SeqScan(std::move(t)), groups, aggs);
   };
 }
 
-PlanFn SortPlan(std::vector<SortKey> keys) {
-  return [keys = std::move(keys)](TablePtr t, ExecImpl impl) {
-    return MakeSort(MakeSeqScan(std::move(t)), keys, impl);
+auto SortPlan(std::vector<SortKey> keys) {
+  return [keys = std::move(keys)](auto ops, TablePtr t) {
+    return ops.Sort(ops.SeqScan(std::move(t)), keys);
   };
 }
 
@@ -125,35 +132,35 @@ std::vector<AggSpec> AllAggs(const std::string& col) {
 // Aggregate differentials
 
 TEST(AggDifferential, IntKeyAllAggsOverDouble) {
-  ExpectFourWayIdentical(MakeWideTable(999), AggPlan({"k_int"},
+  ExpectMatchesReference(MakeWideTable(999), AggPlan({"k_int"},
                                                      AllAggs("v_dbl")));
 }
 
 TEST(AggDifferential, DictKeyAllAggsOverInt) {
-  ExpectFourWayIdentical(MakeWideTable(999), AggPlan({"k_str"},
+  ExpectMatchesReference(MakeWideTable(999), AggPlan({"k_str"},
                                                      AllAggs("v_int")));
 }
 
 TEST(AggDifferential, BoolKeyAllAggsOverString) {
   // SUM/AVG over strings reproduce the row semantics (strings coerce to
   // 0.0); MIN/MAX compare lexicographically.
-  ExpectFourWayIdentical(MakeWideTable(999), AggPlan({"k_bool"},
+  ExpectMatchesReference(MakeWideTable(999), AggPlan({"k_bool"},
                                                      AllAggs("v_str")));
 }
 
 TEST(AggDifferential, MultiKeyGrouping) {
-  ExpectFourWayIdentical(
+  ExpectMatchesReference(
       MakeWideTable(999),
       AggPlan({"k_str", "k_int", "k_bool"}, AllAggs("v_dbl")));
 }
 
 TEST(AggDifferential, GlobalAggregateNoKeys) {
-  ExpectFourWayIdentical(MakeWideTable(500), AggPlan({}, AllAggs("v_dbl")));
+  ExpectMatchesReference(MakeWideTable(500), AggPlan({}, AllAggs("v_dbl")));
 }
 
 TEST(AggDifferential, GlobalAggregateOverEmptyInputYieldsOneRow) {
   auto empty = MakeWideTable(0);
-  ExpectFourWayIdentical(empty, AggPlan({}, AllAggs("v_int")));
+  ExpectMatchesReference(empty, AggPlan({}, AllAggs("v_int")));
   auto op = MakeAggregate(MakeSeqScan(empty), {}, AllAggs("v_int"));
   auto r = Materialize(op.get(), "out");
   ASSERT_TRUE(r.ok());
@@ -163,13 +170,13 @@ TEST(AggDifferential, GlobalAggregateOverEmptyInputYieldsOneRow) {
 }
 
 TEST(AggDifferential, GroupedAggregateOverEmptyInputYieldsNoRows) {
-  ExpectFourWayIdentical(MakeWideTable(0),
+  ExpectMatchesReference(MakeWideTable(0),
                          AggPlan({"k_int"}, AllAggs("v_dbl")));
 }
 
 TEST(AggDifferential, MultiChunkInput) {
   // > 2 chunks of kChunkRows with a ragged tail.
-  ExpectFourWayIdentical(MakeWideTable(2 * kChunkRows + 777),
+  ExpectMatchesReference(MakeWideTable(2 * kChunkRows + 777),
                          AggPlan({"k_str", "k_int"}, AllAggs("v_dbl")));
 }
 
@@ -177,7 +184,7 @@ TEST(AggDifferential, ViewInputSharesParentBuffers) {
   auto full = MakeWideTable(2000);
   auto view = std::make_shared<Table>(full->Slice(311, 1777));
   ASSERT_TRUE(view->is_view());
-  ExpectFourWayIdentical(view, AggPlan({"k_str"}, AllAggs("v_int")));
+  ExpectMatchesReference(view, AggPlan({"k_str"}, AllAggs("v_int")));
 }
 
 TEST(AggDifferential, MixedEncodingColumn) {
@@ -190,54 +197,42 @@ TEST(AggDifferential, MixedEncodingColumn) {
   t->AppendRow({Value::Int(1), Value::Str("zzz")});
   t->AppendRow({Value::Null(), Value::Bool(true)});
   t->AppendRow({Value::Str("one"), Value::Null()});
-  ExpectFourWayIdentical(t, AggPlan({"k"}, AllAggs("v")));
+  ExpectMatchesReference(t, AggPlan({"k"}, AllAggs("v")));
 }
 
 TEST(AggDifferential, OutputRowsCarryNoLineage) {
   auto t = MakeWideTable(200);
-  for (ExecImpl impl : {ExecImpl::kRow, ExecImpl::kColumnar}) {
-    auto op = MakeAggregate(MakeSeqScan(t), {"k_int"}, AllAggs("v_dbl"),
-                            impl);
-    auto r = Materialize(op.get(), "out");
-    ASSERT_TRUE(r.ok());
-    for (size_t i = 0; i < r->num_rows(); ++i) {
-      EXPECT_EQ(r->row_lid(i), 0);
-    }
+  auto plan = AggPlan({"k_int"}, AllAggs("v_dbl"));
+  for (const Table& r : {RunWith<Rows>(t, plan), RunWith<Chunked>(t, plan)}) {
+    ASSERT_GT(r.num_rows(), 0u);
+    for (size_t i = 0; i < r.num_rows(); ++i) EXPECT_EQ(r.row_lid(i), 0);
   }
 }
 
 TEST(AggDifferential, UnknownColumnErrorsMatchWordForWord) {
   auto t = MakeWideTable(10);
-  auto msg = [&](ExecImpl impl, std::vector<std::string> groups,
-                 std::vector<AggSpec> aggs) {
-    auto op = MakeAggregate(MakeSeqScan(t), std::move(groups),
-                            std::move(aggs), impl);
-    auto r = Materialize(op.get(), "out");
-    EXPECT_FALSE(r.ok());
-    return r.ok() ? std::string() : r.status().message();
-  };
-  EXPECT_EQ(msg(ExecImpl::kRow, {"nope"}, AllAggs("v_dbl")),
-            msg(ExecImpl::kColumnar, {"nope"}, AllAggs("v_dbl")));
-  EXPECT_EQ(msg(ExecImpl::kRow, {"k_int"}, {{AggFn::kSum, "gone", "s"}}),
-            msg(ExecImpl::kColumnar, {"k_int"}, {{AggFn::kSum, "gone", "s"}}));
+  auto bad_group = AggPlan({"nope"}, AllAggs("v_dbl"));
+  EXPECT_EQ(ErrorWith<Rows>(t, bad_group), ErrorWith<Chunked>(t, bad_group));
+  auto bad_agg = AggPlan({"k_int"}, {{AggFn::kSum, "gone", "s"}});
+  EXPECT_EQ(ErrorWith<Rows>(t, bad_agg), ErrorWith<Chunked>(t, bad_agg));
 }
 
 // ---------------------------------------------------------------------------
 // Sort differentials
 
 TEST(SortDifferential, SingleIntKeyAscending) {
-  ExpectFourWayIdentical(MakeWideTable(999), SortPlan({{"v_int", false}}));
+  ExpectMatchesReference(MakeWideTable(999), SortPlan({{"v_int", false}}));
 }
 
 TEST(SortDifferential, MultiKeyMixedDirections) {
-  ExpectFourWayIdentical(
+  ExpectMatchesReference(
       MakeWideTable(999),
       SortPlan({{"k_str", false}, {"v_dbl", true}, {"v_int", false}}));
 }
 
 TEST(SortDifferential, DictKeyDescendingPreservesLids) {
   auto t = MakeWideTable(500);
-  ExpectFourWayIdentical(t, SortPlan({{"v_str", true}}));
+  ExpectMatchesReference(t, SortPlan({{"v_str", true}}));
   auto op = MakeSort(MakeSeqScan(t), {{"v_str", true}});
   auto r = Materialize(op.get(), "out");
   ASSERT_TRUE(r.ok());
@@ -249,7 +244,7 @@ TEST(SortDifferential, DictKeyDescendingPreservesLids) {
 TEST(SortDifferential, StableTiesKeepInputOrder) {
   // k_bool has 2 distinct non-NULL values over 999 rows: nearly every
   // comparison ties, so any instability would reorder lids.
-  ExpectFourWayIdentical(MakeWideTable(999), SortPlan({{"k_bool", false}}));
+  ExpectMatchesReference(MakeWideTable(999), SortPlan({{"k_bool", false}}));
 }
 
 TEST(SortDifferential, NaNAndInfinityKeys) {
@@ -266,8 +261,8 @@ TEST(SortDifferential, NaNAndInfinityKeys) {
     ++tag;
   }
   t->AppendRow({Value::Null(), Value::Int(tag)}, tag + 1);
-  ExpectFourWayIdentical(t, SortPlan({{"d", false}}));
-  ExpectFourWayIdentical(t, SortPlan({{"d", true}}));
+  ExpectMatchesReference(t, SortPlan({{"d", false}}));
+  ExpectMatchesReference(t, SortPlan({{"d", true}}));
 }
 
 TEST(SortDifferential, MixedEncodingKeyColumn) {
@@ -280,45 +275,34 @@ TEST(SortDifferential, MixedEncodingKeyColumn) {
   t->AppendRow({Value::Null()});
   t->AppendRow({Value::Bool(true)});
   t->AppendRow({Value::Int(-3)});
-  ExpectFourWayIdentical(t, SortPlan({{"k", false}}));
-  ExpectFourWayIdentical(t, SortPlan({{"k", true}}));
+  ExpectMatchesReference(t, SortPlan({{"k", false}}));
+  ExpectMatchesReference(t, SortPlan({{"k", true}}));
 }
 
 TEST(SortDifferential, MultiChunkViewInput) {
   auto full = MakeWideTable(2 * kChunkRows + 333);
   auto view = std::make_shared<Table>(full->Slice(100, 2 * kChunkRows));
   ASSERT_TRUE(view->is_view());
-  ExpectFourWayIdentical(view,
+  ExpectMatchesReference(view,
                          SortPlan({{"v_dbl", true}, {"k_str", false}}));
 }
 
 TEST(SortDifferential, EmptyInput) {
-  ExpectFourWayIdentical(MakeWideTable(0), SortPlan({{"v_int", false}}));
+  ExpectMatchesReference(MakeWideTable(0), SortPlan({{"v_int", false}}));
 }
 
 TEST(SortDifferential, UnknownColumnErrorsMatchWordForWord) {
   auto t = MakeWideTable(10);
-  auto msg = [&](ExecImpl impl) {
-    auto op = MakeSort(MakeSeqScan(t), {{"missing", false}}, impl);
-    auto r = Materialize(op.get(), "out");
-    EXPECT_FALSE(r.ok());
-    return r.ok() ? std::string() : r.status().message();
-  };
-  EXPECT_EQ(msg(ExecImpl::kRow), msg(ExecImpl::kColumnar));
+  auto plan = SortPlan({{"missing", false}});
+  EXPECT_EQ(ErrorWith<Rows>(t, plan), ErrorWith<Chunked>(t, plan));
 }
 
 TEST(SortDifferential, DescribeMatchesRowKernel) {
   auto t = MakeWideTable(5);
-  auto a = MakeSort(MakeSeqScan(t), {{"v_int", true}, {"k_str", false}},
-                    ExecImpl::kRow);
-  auto b = MakeSort(MakeSeqScan(t), {{"v_int", true}, {"k_str", false}},
-                    ExecImpl::kColumnar);
-  EXPECT_EQ(a->Describe(), b->Describe());
-  auto c = MakeAggregate(MakeSeqScan(t), {"k_int"}, AllAggs("v_dbl"),
-                         ExecImpl::kRow);
-  auto d = MakeAggregate(MakeSeqScan(t), {"k_int"}, AllAggs("v_dbl"),
-                         ExecImpl::kColumnar);
-  EXPECT_EQ(c->Describe(), d->Describe());
+  auto sort = SortPlan({{"v_int", true}, {"k_str", false}});
+  EXPECT_EQ(sort(Rows{}, t)->Describe(), sort(Chunked{}, t)->Describe());
+  auto agg = AggPlan({"k_int"}, AllAggs("v_dbl"));
+  EXPECT_EQ(agg(Rows{}, t)->Describe(), agg(Chunked{}, t)->Describe());
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Differential tests for the columnar storage engine: chunked execution
-// vs the row-at-a-time reference, zero-copy slices, copy-on-write, and
-// encoding-independent fingerprints.
+// vs the row-at-a-time reference (tests/support/row_reference.h),
+// zero-copy slices, copy-on-write, and encoding-independent fingerprints.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "relational/ops.h"
 #include "relational/table.h"
 #include "service/result_cache.h"
+#include "support/row_reference.h"
 
 namespace kathdb::rel {
 namespace {
@@ -254,94 +256,152 @@ TEST(ColumnarTableTest, ValidateStillCatchesRaggedRows) {
 
 // -------------------------------------------- chunked vs row execution
 
-/// Operator-tree factories evaluated under both Materialize flavors.
+/// One plan, written once against the rowref builders and materialized
+/// by the chunked operators and by the row-at-a-time reference.
 struct OpCase {
   std::string name;
-  std::function<OperatorPtr(std::shared_ptr<Table>)> make;
+  std::function<Result<Table>(TablePtr)> chunked;
+  std::function<Result<Table>(TablePtr)> rows;
 };
+
+template <typename Plan>
+OpCase Case(std::string name, Plan plan) {
+  return {std::move(name),
+          [plan](TablePtr t) {
+            return rowref::Chunked::Run(plan(rowref::Chunked{}, std::move(t)));
+          },
+          [plan](TablePtr t) {
+            return rowref::Rows::Run(plan(rowref::Rows{}, std::move(t)));
+          }};
+}
+
+ExprPtr YearFrom1990() {
+  return Expr::Binary(BinaryOp::kGe, Expr::Column("year"),
+                      Expr::Literal(Value::Int(1990)));
+}
+
+ExprPtr MidBelow(int64_t n) {
+  return Expr::Binary(BinaryOp::kLt, Expr::Column("mid"),
+                      Expr::Literal(Value::Int(n)));
+}
 
 std::vector<OpCase> DifferentialCases() {
   std::vector<OpCase> cases;
-  cases.push_back({"scan", [](std::shared_ptr<Table> t) {
-                     return MakeSeqScan(std::move(t));
-                   }});
-  cases.push_back({"filter_fast_path", [](std::shared_ptr<Table> t) {
-                     // column <cmp> literal over INT: tight-loop select.
-                     return MakeFilter(
-                         MakeSeqScan(std::move(t)),
-                         Expr::Binary(BinaryOp::kGe, Expr::Column("year"),
-                                      Expr::Literal(Value::Int(1990))));
-                   }});
-  cases.push_back({"filter_and_or", [](std::shared_ptr<Table> t) {
-                     auto pred = Expr::Binary(
-                         BinaryOp::kOr,
-                         Expr::Binary(
-                             BinaryOp::kAnd,
-                             Expr::Binary(BinaryOp::kLt, Expr::Column("score"),
-                                          Expr::Literal(Value::Double(0.3))),
-                             Expr::Column("watched")),
-                         Expr::Binary(BinaryOp::kEq, Expr::Column("genre"),
-                                      Expr::Literal(Value::Str("drama"))));
-                     return MakeFilter(MakeSeqScan(std::move(t)), pred);
-                   }});
-  cases.push_back({"project_exprs", [](std::shared_ptr<Table> t) {
-                     std::vector<ExprPtr> exprs;
-                     exprs.push_back(Expr::Column("mid"));
-                     exprs.push_back(Expr::Binary(
-                         BinaryOp::kAdd, Expr::Column("score"),
-                         Expr::Literal(Value::Double(1.0))));
-                     exprs.push_back(Expr::Call(
-                         "upper", {Expr::Column("genre")}));
-                     exprs.push_back(Expr::Binary(
-                         BinaryOp::kAdd, Expr::Column("genre"),
-                         Expr::Literal(Value::Str("!"))));
-                     return MakeProject(MakeSeqScan(std::move(t)),
-                                        std::move(exprs),
-                                        {"mid", "s1", "g", "gx"});
-                   }});
-  cases.push_back({"filter_project_stack", [](std::shared_ptr<Table> t) {
-                     auto f = MakeFilter(
-                         MakeSeqScan(std::move(t)),
-                         Expr::Binary(BinaryOp::kGt, Expr::Column("score"),
-                                      Expr::Literal(Value::Double(0.25))));
-                     std::vector<ExprPtr> exprs;
-                     exprs.push_back(Expr::Column("genre"));
-                     exprs.push_back(Expr::Binary(BinaryOp::kMul,
-                                                  Expr::Column("mid"),
-                                                  Expr::Column("mid")));
-                     auto p = MakeProject(std::move(f), std::move(exprs),
-                                          {"genre", "mid_sq"});
-                     return MakeFilter(
-                         std::move(p),
-                         Expr::Binary(BinaryOp::kNe, Expr::Column("genre"),
-                                      Expr::Literal(Value::Str("horror"))));
-                   }});
-  cases.push_back({"join_columnar_build", [](std::shared_ptr<Table> t) {
-                     // Self-join on genre: exercises the columnar build
-                     // side, hash collision filtering and Concat schema.
-                     auto right = MakeFilter(
-                         MakeSeqScan(t),
-                         Expr::Binary(BinaryOp::kLt, Expr::Column("mid"),
-                                      Expr::Literal(Value::Int(6))));
-                     return MakeHashJoin(MakeSeqScan(t), std::move(right),
-                                         "genre", "genre");
-                   }});
-  cases.push_back({"aggregate_adapter", [](std::shared_ptr<Table> t) {
-                     return MakeAggregate(
-                         MakeSeqScan(std::move(t)), {"genre"},
+  cases.push_back(Case("scan", [](auto ops, TablePtr t) {
+    return ops.SeqScan(std::move(t));
+  }));
+  cases.push_back(Case("filter_fast_path", [](auto ops, TablePtr t) {
+    // column <cmp> literal over INT: tight-loop select.
+    return ops.Filter(ops.SeqScan(std::move(t)), YearFrom1990());
+  }));
+  cases.push_back(Case("filter_and_or", [](auto ops, TablePtr t) {
+    auto pred = Expr::Binary(
+        BinaryOp::kOr,
+        Expr::Binary(BinaryOp::kAnd,
+                     Expr::Binary(BinaryOp::kLt, Expr::Column("score"),
+                                  Expr::Literal(Value::Double(0.3))),
+                     Expr::Column("watched")),
+        Expr::Binary(BinaryOp::kEq, Expr::Column("genre"),
+                     Expr::Literal(Value::Str("drama"))));
+    return ops.Filter(ops.SeqScan(std::move(t)), pred);
+  }));
+  cases.push_back(Case("project_exprs", [](auto ops, TablePtr t) {
+    std::vector<ExprPtr> exprs;
+    exprs.push_back(Expr::Column("mid"));
+    exprs.push_back(Expr::Binary(BinaryOp::kAdd, Expr::Column("score"),
+                                 Expr::Literal(Value::Double(1.0))));
+    exprs.push_back(Expr::Call("upper", {Expr::Column("genre")}));
+    exprs.push_back(Expr::Binary(BinaryOp::kAdd, Expr::Column("genre"),
+                                 Expr::Literal(Value::Str("!"))));
+    return ops.Project(ops.SeqScan(std::move(t)), std::move(exprs),
+                       {"mid", "s1", "g", "gx"});
+  }));
+  cases.push_back(Case("filter_project_stack", [](auto ops, TablePtr t) {
+    auto f = ops.Filter(ops.SeqScan(std::move(t)),
+                        Expr::Binary(BinaryOp::kGt, Expr::Column("score"),
+                                     Expr::Literal(Value::Double(0.25))));
+    std::vector<ExprPtr> exprs;
+    exprs.push_back(Expr::Column("genre"));
+    exprs.push_back(Expr::Binary(BinaryOp::kMul, Expr::Column("mid"),
+                                 Expr::Column("mid")));
+    auto p = ops.Project(std::move(f), std::move(exprs), {"genre", "mid_sq"});
+    return ops.Filter(std::move(p),
+                      Expr::Binary(BinaryOp::kNe, Expr::Column("genre"),
+                                   Expr::Literal(Value::Str("horror"))));
+  }));
+  cases.push_back(Case("join_columnar_build", [](auto ops, TablePtr t) {
+    // Self-join on genre: exercises the columnar build side, hash
+    // collision filtering and Concat schema.
+    auto right = ops.Filter(ops.SeqScan(t), MidBelow(6));
+    return ops.HashJoin(ops.SeqScan(t), std::move(right), "genre", "genre");
+  }));
+  cases.push_back(Case("hash_join_int_double_key", [](auto ops, TablePtr t) {
+    // INT year probes a DOUBLE key (year * 1.0) with ~4 matches per probe
+    // row; NULL years on both sides must never match.
+    std::vector<ExprPtr> exprs;
+    exprs.push_back(Expr::Binary(BinaryOp::kMul, Expr::Column("year"),
+                                 Expr::Literal(Value::Double(1.0))));
+    exprs.push_back(Expr::Column("mid"));
+    auto right = ops.Project(ops.Filter(ops.SeqScan(t), MidBelow(300)),
+                             std::move(exprs), {"y", "rmid"});
+    return ops.HashJoin(ops.Filter(ops.SeqScan(t), MidBelow(1000)),
+                        std::move(right), "year", "y");
+  }));
+  cases.push_back(Case("nested_loop_join_wide_left", [](auto ops, TablePtr t) {
+    // 3 right rows per left row: pairs and output span many blocks.
+    return ops.NestedLoopJoin(
+        ops.SeqScan(t), ops.Filter(ops.SeqScan(t), MidBelow(3)),
+        Expr::Binary(BinaryOp::kGt, Expr::Column("score"),
+                     Expr::Column("r.score")));
+  }));
+  cases.push_back(Case("nested_loop_join_wide_right", [](auto ops,
+                                                         TablePtr t) {
+    // Every probe row pairs with more than kChunkRows right rows, so one
+    // probe row's pairs split across blocks.
+    return ops.NestedLoopJoin(
+        ops.Filter(ops.SeqScan(t), MidBelow(3)), ops.SeqScan(t),
+        Expr::Binary(BinaryOp::kEq, Expr::Column("genre"),
+                     Expr::Column("r.genre")));
+  }));
+  cases.push_back(Case("aggregate", [](auto ops, TablePtr t) {
+    return ops.Aggregate(ops.SeqScan(std::move(t)), {"genre"},
                          {{AggFn::kCount, "", "n"},
                           {AggFn::kAvg, "score", "avg_score"},
                           {AggFn::kMax, "year", "max_year"}});
-                   }});
-  cases.push_back({"sort_limit_distinct", [](std::shared_ptr<Table> t) {
-                     std::vector<ExprPtr> exprs;
-                     exprs.push_back(Expr::Column("genre"));
-                     auto p = MakeProject(MakeSeqScan(std::move(t)),
-                                          std::move(exprs), {"genre"});
-                     auto d = MakeDistinct(std::move(p));
-                     auto s = MakeSort(std::move(d), {{"genre", false}});
-                     return MakeLimit(std::move(s), 3);
-                   }});
+  }));
+  cases.push_back(Case("sort_limit_distinct", [](auto ops, TablePtr t) {
+    std::vector<ExprPtr> exprs;
+    exprs.push_back(Expr::Column("genre"));
+    auto p = ops.Project(ops.SeqScan(std::move(t)), std::move(exprs),
+                         {"genre"});
+    auto d = ops.Distinct(std::move(p));
+    auto s = ops.Sort(std::move(d), {{"genre", false}});
+    return ops.Limit(std::move(s), 3);
+  }));
+  cases.push_back(Case("limit_crosses_filtered_chunks", [](auto ops,
+                                                           TablePtr t) {
+    // A filtered input arrives as selection vectors; the limit lands
+    // inside the second one.
+    return ops.Limit(ops.Filter(ops.SeqScan(std::move(t)), YearFrom1990()),
+                     kChunkRows + 100);
+  }));
+  cases.push_back(Case("limit_crosses_scan_windows", [](auto ops,
+                                                        TablePtr t) {
+    // A scan arrives as dense windows; the limit cuts the second one.
+    return ops.Limit(ops.SeqScan(std::move(t)), kChunkRows + 7);
+  }));
+  cases.push_back(Case("limit_zero", [](auto ops, TablePtr t) {
+    return ops.Limit(ops.SeqScan(std::move(t)), 0);
+  }));
+  cases.push_back(Case("distinct_multi_chunk", [](auto ops, TablePtr t) {
+    // Duplicates recur across every chunk; NULL years form their own rows.
+    std::vector<ExprPtr> exprs;
+    exprs.push_back(Expr::Column("year"));
+    exprs.push_back(Expr::Column("watched"));
+    auto p = ops.Project(ops.SeqScan(std::move(t)), std::move(exprs),
+                         {"year", "watched"});
+    return ops.Distinct(std::move(p));
+  }));
   return cases;
 }
 
@@ -350,10 +410,8 @@ TEST(ChunkedExecutionTest, ByteIdenticalToRowExecution) {
   auto t = MakeMovies(3 * kChunkRows + 123);
   for (const auto& c : DifferentialCases()) {
     SCOPED_TRACE(c.name);
-    auto op_rows = c.make(t);
-    auto op_chunks = c.make(t);
-    auto by_rows = MaterializeRows(op_rows.get(), "out");
-    auto by_chunks = Materialize(op_chunks.get(), "out");
+    auto by_rows = c.rows(t);
+    auto by_chunks = c.chunked(t);
     ASSERT_TRUE(by_rows.ok()) << by_rows.status().ToString();
     ASSERT_TRUE(by_chunks.ok()) << by_chunks.status().ToString();
     ExpectIdentical(by_rows.value(), by_chunks.value());
@@ -403,9 +461,9 @@ TEST(ChunkedExecutionTest, ShortCircuitHidesErrorsLikeInterpreter) {
                    Expr::Binary(BinaryOp::kDiv, Expr::Literal(Value::Int(100)),
                                 Expr::Column("mid")),
                    Expr::Literal(Value::Int(3))));
-  auto op_rows = MakeFilter(MakeSeqScan(t), pred);
+  auto by_rows = rowref::Rows::Run(rowref::MakeFilter(
+      rowref::MakeSeqScan(t), pred));
   auto op_chunks = MakeFilter(MakeSeqScan(t), pred);
-  auto by_rows = MaterializeRows(op_rows.get(), "out");
   auto by_chunks = Materialize(op_chunks.get(), "out");
   ASSERT_TRUE(by_rows.ok()) << by_rows.status().ToString();
   ASSERT_TRUE(by_chunks.ok()) << by_chunks.status().ToString();

@@ -405,18 +405,6 @@ TEST(OpsTest, LimitAndDistinct) {
   EXPECT_EQ(Materialize(dis.get(), "out").value().num_rows(), 2u);
 }
 
-TEST(OpsTest, UnionAllRequiresSameSchema) {
-  auto u = MakeUnionAll(MakeSeqScan(MoviesPtr()), MakeSeqScan(MoviesPtr()));
-  auto t = Materialize(u.get(), "out");
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t.value().num_rows(), 6u);
-
-  Table other("o", Schema({{"x", DataType::kInt}}));
-  auto bad = MakeUnionAll(MakeSeqScan(MoviesPtr()),
-                          MakeSeqScan(std::make_shared<Table>(other)));
-  EXPECT_FALSE(Materialize(bad.get(), "out").ok());
-}
-
 // Property-style sweep: filter then count == manual count, over predicates.
 class FilterCountProperty : public ::testing::TestWithParam<int> {};
 

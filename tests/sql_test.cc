@@ -228,6 +228,85 @@ TEST_F(SqlEngineTest, DistinctRemovesDuplicates) {
   EXPECT_EQ(r.value().num_rows(), 3u);
 }
 
+// DISTINCT keys rows the way GROUP BY does (by cell value and type), not
+// by their rendered text.
+TEST_F(SqlEngineTest, DistinctKeepsNearbyDoublesApart) {
+  SqlEngine eng(&catalog_);
+  ASSERT_TRUE(eng.Execute("CREATE TABLE m (v DOUBLE)").ok());
+  ASSERT_TRUE(eng.Execute("INSERT INTO m VALUES (0.1234561), (0.1234564), "
+                          "(0.5)")
+                  .ok());
+  auto distinct = eng.Execute("SELECT DISTINCT v FROM m");
+  auto grouped = eng.Execute("SELECT v FROM m GROUP BY v");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_EQ(distinct.value().num_rows(), 3u);
+  EXPECT_EQ(grouped.value().num_rows(), 3u);
+}
+
+TEST_F(SqlEngineTest, DistinctKeepsNullStringApartFromNull) {
+  SqlEngine eng(&catalog_);
+  ASSERT_TRUE(eng.Execute("CREATE TABLE s (v STRING)").ok());
+  ASSERT_TRUE(eng.Execute("INSERT INTO s VALUES ('NULL'), (NULL)").ok());
+  auto r = eng.Execute("SELECT DISTINCT v FROM s");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().num_rows(), 2u);
+  EXPECT_EQ(r.value().at(0, 0), Value::Str("NULL"));
+  EXPECT_TRUE(r.value().at(1, 0).is_null());
+}
+
+TEST_F(SqlEngineTest, DistinctKeepsStringApartFromNumber) {
+  auto mixed = std::make_shared<Table>(
+      "mixed", Schema({{"v", DataType::kString}}));
+  mixed->AppendRow({Value::Str("1")});
+  mixed->AppendRow({Value::Int(1)});
+  mixed->AppendRow({Value::Str("1")});
+  ASSERT_TRUE(catalog_.Register(mixed).ok());
+  SqlEngine eng(&catalog_);
+  auto distinct = eng.Execute("SELECT DISTINCT v FROM mixed");
+  auto grouped = eng.Execute("SELECT v FROM mixed GROUP BY v");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_EQ(distinct.value().num_rows(), 2u);
+  EXPECT_EQ(grouped.value().num_rows(), 2u);
+  EXPECT_EQ(distinct.value().at(0, 0).type(), DataType::kString);
+  EXPECT_EQ(distinct.value().at(1, 0).type(), DataType::kInt);
+}
+
+// The hash equi-join and the theta join agree on `a.k = b.k`: NULL keys
+// never match, INT 3 matches DOUBLE 3.0, a string never matches a number.
+TEST_F(SqlEngineTest, HashJoinMatchesThetaJoinOnNullAndMixedKeys) {
+  auto a = std::make_shared<Table>(
+      "a", Schema({{"k", DataType::kInt}, {"tag", DataType::kString}}));
+  a->AppendRow({Value::Int(3), Value::Str("a3")});
+  a->AppendRow({Value::Null(), Value::Str("anull")});
+  a->AppendRow({Value::Int(7), Value::Str("a7")});
+  auto b = std::make_shared<Table>(
+      "b", Schema({{"k", DataType::kDouble}, {"tag", DataType::kString}}));
+  b->AppendRow({Value::Double(3.0), Value::Str("b3")});
+  b->AppendRow({Value::Null(), Value::Str("bnull")});
+  b->AppendRow({Value::Str("7"), Value::Str("bstr7")});
+  b->AppendRow({Value::Int(3), Value::Str("b3int")});
+  ASSERT_TRUE(catalog_.Register(a).ok());
+  ASSERT_TRUE(catalog_.Register(b).ok());
+  SqlEngine eng(&catalog_);
+  auto hashed = eng.Execute("SELECT * FROM a JOIN b ON a.k = b.k");
+  auto theta = eng.Execute("SELECT * FROM a JOIN b ON a.k = b.k AND 1 = 1");
+  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
+  ASSERT_TRUE(theta.ok()) << theta.status().ToString();
+  ASSERT_EQ(theta.value().num_rows(), 2u);
+  ASSERT_EQ(hashed.value().num_rows(), theta.value().num_rows());
+  for (size_t r = 0; r < theta.value().num_rows(); ++r) {
+    for (size_t c = 0; c < theta.value().schema().num_columns(); ++c) {
+      EXPECT_EQ(hashed.value().at(r, c).type(), theta.value().at(r, c).type());
+      EXPECT_EQ(hashed.value().at(r, c).ToString(),
+                theta.value().at(r, c).ToString());
+    }
+  }
+  EXPECT_EQ(theta.value().at(0, 3), Value::Str("b3"));
+  EXPECT_EQ(theta.value().at(1, 3), Value::Str("b3int"));
+}
+
 TEST_F(SqlEngineTest, LikeFilter) {
   SqlEngine eng(&catalog_);
   auto r = eng.Execute("SELECT title FROM films WHERE title LIKE '%sober%'");
