@@ -7,12 +7,10 @@
 //
 // Each connection is a real TCP client running the paper query with
 // scripted replies shipped in the QUERY frame; results stream back as
-// partial-result chunks and are reassembled client-side. Both result
-// encodings are swept — the legacy CSV PARTIAL_RESULT frames and the
-// columnar PARTIAL_RESULT_COL frames — so the table shows what the
-// columnar wire format saves in bytes-on-wire at equal or better qps.
-// The google-benchmark pass exports the same shape (64 connections per
-// encoding, with bytes-on-wire and MB/s counters) to
+// columnar PARTIAL_RESULT chunks and are reassembled client-side. The
+// table reports qps, tail latency and bytes-on-wire per connection
+// count. The google-benchmark pass exports the same shape (8 and 64
+// connections, with bytes-on-wire and MB/s counters) to
 // BENCH_net_throughput.json.
 
 #include <benchmark/benchmark.h>
@@ -41,10 +39,6 @@ constexpr int kWorkers = 8;
 constexpr int kQueriesPerConn = 4;
 constexpr size_t kChunkRows = 8;
 
-const char* EncodingName(net::ResultEncoding e) {
-  return e == net::ResultEncoding::kColumnar ? "columnar" : "csv";
-}
-
 struct NetRun {
   double qps = 0.0;
   double p50_ms = 0.0;
@@ -55,12 +49,11 @@ struct NetRun {
   double wire_mbps = 0.0;     ///< partial-frame MB/s over the run
 };
 
-/// One server, `connections` concurrent clients negotiating `encoding`,
-/// kQueriesPerConn paper queries each. Per-query wall times feed the
+/// One server, `connections` concurrent clients, kQueriesPerConn paper
+/// queries each. Per-query wall times feed the
 /// percentile columns; the server's partial-frame byte counter feeds
 /// the bytes-on-wire column.
-NetRun ServeConnections(engine::KathDB* db, int connections,
-                        net::ResultEncoding encoding) {
+NetRun ServeConnections(engine::KathDB* db, int connections) {
   service::ServiceOptions svc_opts;
   svc_opts.workers = kWorkers;
   svc_opts.max_queue =
@@ -93,20 +86,14 @@ NetRun ServeConnections(engine::KathDB* db, int connections,
   threads.reserve(connections);
   auto t0 = std::chrono::steady_clock::now();
   for (int c = 0; c < connections; ++c) {
-    threads.emplace_back([&server, &mu, &latencies_ms, encoding] {
+    threads.emplace_back([&server, &mu, &latencies_ms] {
       net::ClientOptions copts;
       copts.port = server.port();
-      copts.result_encoding = encoding;
       net::Client client(copts);
       Status st = client.Connect();
       if (!st.ok()) {
         std::fprintf(stderr, "connect failed: %s\n",
                      st.ToString().c_str());
-        std::abort();
-      }
-      if (client.negotiated_encoding() != encoding) {
-        std::fprintf(stderr, "server rejected the %s encoding\n",
-                     EncodingName(encoding));
         std::abort();
       }
       auto sid = client.OpenSession();
@@ -161,35 +148,30 @@ void PrintConnectionSweep() {
       "=== net throughput: loopback kathdb-wire/1, %d workers, %d-movie "
       "corpus, %d queries/conn, %zu-row chunks ===\n",
       kWorkers, kCorpusMovies, kQueriesPerConn, kChunkRows);
-  std::printf("%-10s %-13s %-10s %-10s %-10s %-10s %-10s %-13s %-10s\n",
-              "encoding", "connections", "queries", "qps", "p50_ms",
-              "p99_ms", "frames", "wire_bytes", "wire_MB/s");
+  std::printf("%-13s %-10s %-10s %-10s %-10s %-10s %-13s %-10s\n",
+              "connections", "queries", "qps", "p50_ms", "p99_ms", "frames",
+              "wire_bytes", "wire_MB/s");
   BenchDb b = MakeIngestedDb(kCorpusMovies);
-  for (net::ResultEncoding encoding :
-       {net::ResultEncoding::kCsv, net::ResultEncoding::kColumnar}) {
-    for (int connections : {1, 8, 16, 64}) {
-      NetRun r = ServeConnections(b.db.get(), connections, encoding);
-      std::printf("%-10s %-13d %-10lld %-10.1f %-10.2f %-10.2f %-10lld "
-                  "%-13lld %-10.2f\n",
-                  EncodingName(encoding), connections,
-                  static_cast<long long>(r.queries), r.qps, r.p50_ms,
-                  r.p99_ms, static_cast<long long>(r.partial_frames),
-                  static_cast<long long>(r.partial_bytes), r.wire_mbps);
-    }
+  for (int connections : {1, 8, 16, 64}) {
+    NetRun r = ServeConnections(b.db.get(), connections);
+    std::printf("%-13d %-10lld %-10.1f %-10.2f %-10.2f %-10lld %-13lld "
+                "%-10.2f\n",
+                connections, static_cast<long long>(r.queries), r.qps,
+                r.p50_ms, r.p99_ms, static_cast<long long>(r.partial_frames),
+                static_cast<long long>(r.partial_bytes), r.wire_mbps);
   }
   std::printf("\n");
 }
 
 void BM_NetThroughput(benchmark::State& state) {
   int connections = static_cast<int>(state.range(0));
-  auto encoding = static_cast<net::ResultEncoding>(state.range(1));
   BenchDb b = MakeIngestedDb(kCorpusMovies);
   int64_t queries = 0;
   double p99 = 0.0;
   int64_t partial_bytes = 0;
   double wire_mbps = 0.0;
   for (auto _ : state) {
-    NetRun r = ServeConnections(b.db.get(), connections, encoding);
+    NetRun r = ServeConnections(b.db.get(), connections);
     queries += r.queries;
     p99 = r.p99_ms;
     partial_bytes = r.partial_bytes;
@@ -200,17 +182,12 @@ void BM_NetThroughput(benchmark::State& state) {
   state.counters["connections"] = connections;
   state.counters["workers"] = kWorkers;
   state.counters["p99_ms"] = p99;
-  state.counters["columnar"] =
-      encoding == net::ResultEncoding::kColumnar ? 1 : 0;
   state.counters["wire_bytes"] = static_cast<double>(partial_bytes);
   state.counters["wire_mbps"] = wire_mbps;
-  state.SetLabel(EncodingName(encoding));
 }
 BENCHMARK(BM_NetThroughput)
-    ->Args({8, static_cast<int>(net::ResultEncoding::kCsv)})
-    ->Args({64, static_cast<int>(net::ResultEncoding::kCsv)})
-    ->Args({8, static_cast<int>(net::ResultEncoding::kColumnar)})
-    ->Args({64, static_cast<int>(net::ResultEncoding::kColumnar)})
+    ->Arg(8)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -218,7 +195,7 @@ BENCHMARK(BM_NetThroughput)
 
 int main(int argc, char** argv) {
   // The printed sweep only runs unfiltered; CI smoke filters to one
-  // benchmark and should not pay for the full two-encoding sweep twice.
+  // benchmark and should not pay for the full connection sweep.
   bool filtered = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).rfind("--benchmark_filter", 0) == 0) {

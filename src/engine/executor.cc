@@ -377,28 +377,8 @@ Status Executor::FinishNode(const opt::PhysicalNode& node,
   TablePtr shared = std::make_shared<Table>(std::move(out));
   ctx->catalog->Upsert(shared, rel::RelationKind::kIntermediate);
   *out_table = shared;
-  EmitProgress(*run, shared, is_final);
+  if (is_final && options_.on_final_output) options_.on_final_output(shared);
   return Status::OK();
-}
-
-void Executor::EmitProgress(const NodeRun& run, const TablePtr& table,
-                            bool is_final) {
-  ProgressSink* sink = options_.progress;
-  if (sink == nullptr) return;
-  sink->OnNodeComplete(run, is_final);
-  if (!is_final || table == nullptr) return;
-  const Table& t = *table;
-  size_t chunk = options_.stream_chunk_rows;
-  if (chunk == 0 || chunk >= t.num_rows()) {
-    // One chunk — emitted even for an empty table so the consumer always
-    // learns the output schema.
-    sink->OnResultChunk(t, 0, /*last=*/true);
-    return;
-  }
-  for (size_t off = 0; off < t.num_rows(); off += chunk) {
-    bool last = off + chunk >= t.num_rows();
-    sink->OnResultChunk(t.Slice(off, off + chunk), off, last);
-  }
 }
 
 Result<ExecutionReport> Executor::Run(const opt::PhysicalPlan& plan,

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,28 +64,6 @@ struct ExecutionReport {
   std::string ToText() const;
 };
 
-/// \brief Observer for streamed execution progress.
-///
-/// The net front-end implements this to flush row batches to a client
-/// while the rest of the pipeline is still wrapping up. Callbacks run on
-/// whatever thread finished the node (a pool worker under DAG-parallel
-/// execution), so implementations must be thread-safe and must not block
-/// for long — they sit on the query's critical path.
-class ProgressSink {
- public:
-  virtual ~ProgressSink() = default;
-  /// A plan node finished successfully. `is_final` marks the node that
-  /// produces the plan's final output.
-  virtual void OnNodeComplete(const NodeRun& run, bool is_final) = 0;
-  /// A batch of final-output rows (schema + rows + lineage ids), emitted
-  /// in offset order immediately after the final node completes — before
-  /// sibling branches finish and before the service layer wraps the
-  /// outcome. `last` marks the tail batch. An empty result still emits
-  /// one empty chunk so consumers always learn the output schema.
-  virtual void OnResultChunk(const rel::Table& chunk, size_t row_offset,
-                             bool last) = 0;
-};
-
 struct ExecutorOptions {
   /// Fraction of each node's output rows the monitor inspects for
   /// semantic anomalies (E11 sweeps this; 0 disables the monitor).
@@ -111,13 +90,13 @@ struct ExecutorOptions {
   /// path; only scheduling changes. Off by default — the service layer
   /// turns it on.
   bool enable_llm_batching = false;
-  /// Streamed partial results: when set, node completions and the final
-  /// node's output rows are reported through this sink as they happen.
-  /// Not owned; must outlive the run and be thread-safe.
-  ProgressSink* progress = nullptr;
-  /// Rows per OnResultChunk emission; 0 streams the whole final table as
-  /// one chunk.
-  size_t stream_chunk_rows = 0;
+  /// Streamed results: when set, called once with the final node's
+  /// output the moment that node completes — before sibling branches
+  /// finish and before the service layer wraps the outcome (the net
+  /// front-end streams it to the client from here). Runs on whatever
+  /// thread finished the node, so it must be thread-safe and must not
+  /// block for long: it sits on the query's critical path.
+  std::function<void(const rel::TablePtr&)> on_final_output;
 };
 
 /// \brief The agentic monitor: reviewer (diagnose) + rewriter (patch).
@@ -172,7 +151,7 @@ class Executor {
   /// for row-wise functions), dedup exactly once, record lineage, monitor
   /// the output, upsert into the catalog. Safe to call from concurrent
   /// node tasks of one plan. `is_final` marks the node producing the
-  /// plan's final output (it feeds the progress sink's streamed chunks).
+  /// plan's final output (it is handed to options.on_final_output).
   /// Without batching `done` fires inline. With batching, the node's
   /// first evaluation goes through fao::EvaluateBatched: the NodeRun
   /// state parks in the completion callback, the calling worker returns
@@ -196,11 +175,6 @@ class Executor {
                     const std::vector<rel::TablePtr>& inputs,
                     fao::FunctionSpec spec, Result<rel::Table> result,
                     std::chrono::steady_clock::time_point started,
-                    bool is_final);
-
-  /// Reports a completed node to the progress sink; for the final node
-  /// additionally streams the output in stream_chunk_rows-sized chunks.
-  void EmitProgress(const NodeRun& run, const rel::TablePtr& table,
                     bool is_final);
 
   AgenticMonitor monitor_;

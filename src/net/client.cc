@@ -9,7 +9,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include "relational/io.h"
 
 namespace kathdb::net {
 
@@ -68,11 +67,6 @@ Status Client::Connect() {
   KATHDB_RETURN_IF_ERROR(ConnectRaw());
   PayloadWriter w;
   w.PutString(kWireMagic);
-  // Requesting CSV sends the bare legacy HELLO, so this client stays
-  // indistinguishable from a pre-columnar one.
-  if (options_.result_encoding != ResultEncoding::kCsv) {
-    w.PutU8(static_cast<uint8_t>(options_.result_encoding));
-  }
   KATHDB_RETURN_IF_ERROR(SendFrame(Op::kHello, w.Take()));
   KATHDB_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
   if (frame.op != Op::kHelloOk) {
@@ -82,21 +76,9 @@ Status Client::Connect() {
   }
   PayloadReader r(frame.payload);
   auto magic = r.String();
-  if (!magic.ok() || *magic != kWireMagic) {
+  if (!magic.ok() || *magic != kWireMagic || !r.AtEnd()) {
     Close();
     return Status::IOError("handshake: server speaks a different protocol");
-  }
-  // Servers predating the columnar encoding end the payload here; they
-  // only ever send CSV.
-  negotiated_ = ResultEncoding::kCsv;
-  if (!r.AtEnd()) {
-    auto enc = r.U8();
-    if (!enc.ok() ||
-        *enc > static_cast<uint8_t>(ResultEncoding::kColumnar)) {
-      Close();
-      return Status::IOError("handshake: bad result encoding in HELLO_OK");
-    }
-    negotiated_ = static_cast<ResultEncoding>(*enc);
   }
   return Status::OK();
 }
@@ -196,7 +178,6 @@ Result<StreamedResult> Client::Query(uint64_t session_id,
   KATHDB_RETURN_IF_ERROR(SendFrame(Op::kQuery, w.Take()));
 
   StreamedResult result;
-  bool have_schema = false;
   while (true) {
     KATHDB_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
     PayloadReader r(frame.payload);
@@ -227,19 +208,13 @@ Result<StreamedResult> Client::Query(uint64_t session_id,
         if (q == qid) result.notifications.push_back(stage + ": " + message);
         break;
       }
-      case Op::kPartialResult:
-      case Op::kPartialResultCol: {
+      case Op::kPartialResult: {
         KATHDB_ASSIGN_OR_RETURN(uint64_t q, r.U64());
         KATHDB_ASSIGN_OR_RETURN(uint32_t seq, r.U32());
         KATHDB_ASSIGN_OR_RETURN(uint64_t offset, r.U64());
         if (q != qid) break;  // stale query; skip the chunk body
-        rel::Table chunk;
-        if (frame.op == Op::kPartialResultCol) {
-          KATHDB_ASSIGN_OR_RETURN(chunk, DecodeTableColumnar(&r, "result"));
-        } else {
-          KATHDB_ASSIGN_OR_RETURN(std::string csv, r.String());
-          KATHDB_ASSIGN_OR_RETURN(chunk, rel::TableFromCsv(csv, "result"));
-        }
+        KATHDB_ASSIGN_OR_RETURN(rel::Table chunk,
+                                DecodeTableColumnar(&r, "result"));
         if (seq != result.partial_frames) {
           return Status::IOError("partial chunk " + std::to_string(seq) +
                                  " arrived out of order (expected " +
@@ -251,18 +226,12 @@ Result<StreamedResult> Client::Query(uint64_t session_id,
               " but " + std::to_string(result.table.num_rows()) +
               " row(s) reassembled so far");
         }
-        if (!have_schema) {
+        if (result.partial_frames == 0) {
           result.table = std::move(chunk);
-          have_schema = true;
-        } else if (frame.op == Op::kPartialResultCol) {
-          if (!(chunk.schema() == result.table.schema())) {
-            return Status::IOError("partial chunk schema changed mid-stream");
-          }
-          result.table.AppendSlice(chunk, 0, chunk.num_rows());
+        } else if (!(chunk.schema() == result.table.schema())) {
+          return Status::IOError("partial chunk schema changed mid-stream");
         } else {
-          for (size_t i = 0; i < chunk.num_rows(); ++i) {
-            result.table.AppendRow(chunk.row(i));
-          }
+          result.table.AppendSlice(chunk, 0, chunk.num_rows());
         }
         ++result.partial_frames;
         break;

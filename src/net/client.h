@@ -5,11 +5,9 @@
 /// handshake, session open/close, NL query submission with streamed
 /// partial results, clarification round-trips (the server ASKs, the
 /// caller's handler answers), and cancellation. Query() reassembles the
-/// streamed row chunks — columnar PARTIAL_RESULT_COL frames when the
-/// HELLO negotiated them (the default), legacy CSV PARTIAL_RESULT frames
-/// otherwise — into one rel::Table that is byte-identical (per
-/// rel::TableToCsv) to the table an in-process QueryService::Query
-/// would return.
+/// streamed columnar PARTIAL_RESULT chunks into one rel::Table that is
+/// cell-identical, value types included, to the table an in-process
+/// QueryService::Query would return.
 ///
 /// The client is synchronous — one outstanding query per Client — but
 /// sends are mutex-guarded so Cancel() may be called from another
@@ -43,11 +41,6 @@ struct ClientOptions {
   /// SO_RCVBUF (0 = kernel default). Backpressure tests shrink it so the
   /// server's write high-water mark triggers on a small byte budget.
   int rcvbuf_bytes = 0;
-  /// Result encoding requested at HELLO. kColumnar (default) streams
-  /// typed column buffers (PARTIAL_RESULT_COL); kCsv sends the bare
-  /// legacy HELLO and keeps CSV chunks. The server's choice is readable
-  /// via negotiated_encoding() after Connect().
-  ResultEncoding result_encoding = ResultEncoding::kColumnar;
 };
 
 /// Everything a completed streamed query produced.
@@ -77,12 +70,8 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Connects and runs the HELLO handshake (including result-encoding
-  /// negotiation per ClientOptions::result_encoding).
+  /// Connects and runs the HELLO handshake.
   Status Connect();
-  /// Result encoding the server accepted at HELLO (kCsv until Connect()
-  /// succeeds, and for servers predating the columnar encoding).
-  ResultEncoding negotiated_encoding() const { return negotiated_; }
   /// TCP connect WITHOUT the handshake — protocol-hardening tests drive
   /// the wire by hand from here via SendBytes/SendFrame/ReadFrame.
   Status ConnectRaw();
@@ -129,7 +118,6 @@ class Client {
   FrameReader reader_;
   common::Mutex send_mu_;
   uint64_t next_qid_ = 1;
-  ResultEncoding negotiated_ = ResultEncoding::kCsv;
 };
 
 }  // namespace kathdb::net

@@ -1,17 +1,10 @@
 #include "net/event_loop.h"
 
-#include <errno.h>
 #include <fcntl.h>
 #include <poll.h>
-#include <string.h>
 #include <unistd.h>
 
 #include <utility>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define KATHDB_NET_HAVE_EPOLL 1
-#endif
 
 namespace kathdb::net {
 
@@ -22,29 +15,14 @@ void SetNonBlocking(int fd) {
 }
 }  // namespace
 
-EventLoop::EventLoop(PollBackend backend) {
+EventLoop::EventLoop() {
   if (::pipe(wake_pipe_) == 0) {
     SetNonBlocking(wake_pipe_[0]);
     SetNonBlocking(wake_pipe_[1]);
   }
-#if KATHDB_NET_HAVE_EPOLL
-  if (backend != PollBackend::kPoll) {
-    epoll_fd_ = ::epoll_create1(0);
-    if (epoll_fd_ >= 0) {
-      struct epoll_event ev;
-      memset(&ev, 0, sizeof(ev));
-      ev.events = EPOLLIN;
-      ev.data.fd = wake_pipe_[0];
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_pipe_[0], &ev);
-    }
-  }
-#else
-  (void)backend;
-#endif
 }
 
 EventLoop::~EventLoop() {
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
   if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
 }
@@ -54,19 +32,6 @@ Status EventLoop::Add(int fd, uint32_t interest, EventFn fn) {
     return Status::AlreadyExists("fd " + std::to_string(fd) +
                                  " already registered");
   }
-#if KATHDB_NET_HAVE_EPOLL
-  if (epoll_fd_ >= 0) {
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = ((interest & kEventRead) ? EPOLLIN : 0u) |
-                ((interest & kEventWrite) ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      return Status::IOError(std::string("epoll_ctl(ADD): ") +
-                             strerror(errno));
-    }
-  }
-#endif
   entries_[fd] = Entry{interest, std::move(fn)};
   return Status::OK();
 }
@@ -76,70 +41,22 @@ Status EventLoop::SetInterest(int fd, uint32_t interest) {
   if (it == entries_.end()) {
     return Status::NotFound("fd " + std::to_string(fd) + " not registered");
   }
-  if (it->second.interest == interest) return Status::OK();
   it->second.interest = interest;
-#if KATHDB_NET_HAVE_EPOLL
-  if (epoll_fd_ >= 0) {
-    struct epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = ((interest & kEventRead) ? EPOLLIN : 0u) |
-                ((interest & kEventWrite) ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-      return Status::IOError(std::string("epoll_ctl(MOD): ") +
-                             strerror(errno));
-    }
-  }
-#endif
   return Status::OK();
 }
 
-void EventLoop::Remove(int fd) {
-#if KATHDB_NET_HAVE_EPOLL
-  if (epoll_fd_ >= 0 && entries_.count(fd) > 0) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-#endif
-  entries_.erase(fd);
-}
+void EventLoop::Remove(int fd) { entries_.erase(fd); }
 
 void EventLoop::Run() {
   while (!stop_.load(std::memory_order_acquire)) {
-    if (epoll_fd_ >= 0) {
-      RunEpoll();
-    } else {
-      RunPoll();
-    }
+    PollOnce();
     DispatchTasks();
   }
   // A final drain so tasks queued right before Stop still run.
   DispatchTasks();
 }
 
-void EventLoop::RunEpoll() {
-#if KATHDB_NET_HAVE_EPOLL
-  struct epoll_event events[64];
-  int n = ::epoll_wait(epoll_fd_, events, 64, -1);
-  if (n < 0) return;  // EINTR
-  for (int i = 0; i < n; ++i) {
-    int fd = events[i].data.fd;
-    if (fd == wake_pipe_[0]) {
-      char buf[256];
-      while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-      }
-      continue;
-    }
-    uint32_t ev = 0;
-    // Errors and hangups surface as readability so the handler's read()
-    // observes EOF / the error and closes the connection.
-    if (events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) ev |= kEventRead;
-    if (events[i].events & EPOLLOUT) ev |= kEventWrite;
-    Dispatch(fd, ev);
-  }
-#endif
-}
-
-void EventLoop::RunPoll() {
+void EventLoop::PollOnce() {
   std::vector<struct pollfd> fds;
   fds.reserve(entries_.size() + 1);
   fds.push_back({wake_pipe_[0], POLLIN, 0});

@@ -1,5 +1,5 @@
 /// \file event_loop.h
-/// \brief Portable readiness event loop: epoll on Linux, poll fallback.
+/// \brief Portable readiness event loop over poll(2).
 ///
 /// One thread runs the loop; every registered fd has an interest mask
 /// and a callback invoked with the ready events. Cross-thread
@@ -30,16 +30,12 @@ enum : uint32_t {
   kEventWrite = 1u << 1,
 };
 
-/// Backend selection; kAuto picks epoll on Linux, poll elsewhere. Tests
-/// force kPoll to cover the fallback path on any platform.
-enum class PollBackend { kAuto, kEpoll, kPoll };
-
 /// \brief N fds, one loop thread, a cross-thread task queue.
 class EventLoop {
  public:
   using EventFn = std::function<void(uint32_t events)>;
 
-  explicit EventLoop(PollBackend backend = PollBackend::kAuto);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -65,13 +61,10 @@ class EventLoop {
   /// wakes the loop. Tasks queued after Stop are never executed.
   void RunInLoop(std::function<void()> task) KATHDB_EXCLUDES(tasks_mu_);
 
-  bool using_epoll() const { return epoll_fd_ >= 0; }
-
  private:
   void Wakeup();
   void DispatchTasks() KATHDB_EXCLUDES(tasks_mu_);
-  void RunEpoll();
-  void RunPoll();
+  void PollOnce();
   void Dispatch(int fd, uint32_t events);
 
   struct Entry {
@@ -79,7 +72,6 @@ class EventLoop {
     EventFn fn;
   };
 
-  int epoll_fd_ = -1;  ///< -1 = poll backend
   int wake_pipe_[2] = {-1, -1};
   std::map<int, Entry> entries_;  ///< loop thread only
   std::atomic<bool> stop_{false};

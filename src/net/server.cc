@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "common/sync.h"
-#include "relational/io.h"
 
 namespace kathdb::net {
 
@@ -23,6 +22,11 @@ namespace {
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+Status NotOwned(service::SessionId id) {
+  return Status::NotFound("session " + std::to_string(id) +
+                          " not owned by this connection");
 }
 
 }  // namespace
@@ -84,9 +88,6 @@ struct Server::Connection {
   FrameReader reader;
   std::string rdbuf;  ///< scratch for read()
   bool paused_reading = false;
-  /// PARTIAL_RESULT encoding negotiated at HELLO. Old clients (bare
-  /// magic) keep the CSV frames they understand.
-  ResultEncoding result_encoding = ResultEncoding::kCsv;
   std::set<service::SessionId> sessions;  ///< sessions this conn opened
   std::map<uint64_t, std::shared_ptr<QueryCtx>> queries;  ///< in flight
 
@@ -99,7 +100,7 @@ struct Server::Connection {
 
 /// In-flight query state bridging the loop thread (REPLY/CANCEL frames,
 /// connection teardown) and the worker executing the query (Ask blocks
-/// here; the stream sink and completion callback consult the flags).
+/// here; the result stream and completion callback consult the flags).
 struct Server::QueryCtx {
   explicit QueryCtx(uint64_t qid_in) : qid(qid_in) {}
 
@@ -206,67 +207,11 @@ class Server::RemoteUser : public llm::UserChannel {
   size_t questions_ KATHDB_GUARDED_BY(hist_mu_) = 0;
 };
 
-/// ProgressSink flushing final-output row chunks to the client as
-/// PARTIAL_RESULT frames the moment the executor completes the final
-/// node — before sibling branches finish and before the service layer
-/// wraps the outcome.
-class Server::StreamSink : public engine::ProgressSink {
- public:
-  StreamSink(Server* server, std::shared_ptr<Connection> conn,
-             std::shared_ptr<QueryCtx> ctx)
-      : server_(server), conn_(std::move(conn)), ctx_(std::move(ctx)) {}
-
-  void OnNodeComplete(const engine::NodeRun& run, bool is_final) override {
-    (void)run;
-    (void)is_final;
-  }
-
-  void OnResultChunk(const rel::Table& chunk, size_t row_offset,
-                     bool last) override {
-    (void)last;
-    {
-      common::MutexLock lock(ctx_->mu);
-      if (ctx_->cancelled || ctx_->detached) return;
-    }
-    uint32_t seq = ctx_->chunks.fetch_add(1, std::memory_order_relaxed);
-    ctx_->rows.fetch_add(chunk.num_rows(), std::memory_order_relaxed);
-    PayloadWriter w;
-    w.PutU64(ctx_->qid);
-    w.PutU32(seq);
-    w.PutU64(row_offset);
-    Op op;
-    if (encoding_ == ResultEncoding::kColumnar) {
-      EncodeTableColumnar(chunk, &w);
-      op = Op::kPartialResultCol;
-    } else {
-      w.PutString(rel::TableToCsv(chunk));
-      op = Op::kPartialResult;
-    }
-    std::string payload = w.Take();
-    server_->partial_frames_.fetch_add(1, std::memory_order_relaxed);
-    server_->partial_bytes_.fetch_add(
-        static_cast<int64_t>(kFrameHeaderBytes + 1 + payload.size()),
-        std::memory_order_relaxed);
-    server_->SendFrame(conn_, op, payload);
-  }
-
-  /// Set on the loop thread (HandleQuery) before the worker can run.
-  void set_encoding(ResultEncoding e) { encoding_ = e; }
-
- private:
-  Server* server_;
-  std::shared_ptr<Connection> conn_;
-  std::shared_ptr<QueryCtx> ctx_;
-  ResultEncoding encoding_ = ResultEncoding::kCsv;
-};
-
 // ---------------------------------------------------------------------------
 // Server
 
 Server::Server(service::QueryService* service, ServerOptions options)
-    : service_(service),
-      options_(std::move(options)),
-      loop_(options_.backend) {}
+    : service_(service), options_(std::move(options)) {}
 
 Server::~Server() { Stop(); }
 
@@ -425,23 +370,13 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       ProtocolError(conn, "bad protocol magic in HELLO");
       return;
     }
-    // Optional result-encoding request: one u8 after the magic. Old
-    // clients send the bare magic and keep CSV results.
     if (!r.AtEnd()) {
-      auto enc = r.U8();
-      if (!enc.ok() || !r.AtEnd() ||
-          *enc > static_cast<uint8_t>(ResultEncoding::kColumnar)) {
-        ProtocolError(conn, "bad result encoding in HELLO");
-        return;
-      }
-      conn->result_encoding = static_cast<ResultEncoding>(*enc);
+      ProtocolError(conn, "trailing bytes after the HELLO magic");
+      return;
     }
     conn->state = Connection::State::kReady;
     PayloadWriter w;
     w.PutString(kWireMagic);
-    // Accepted encoding echoed for new clients; old clients never look
-    // past the magic.
-    w.PutU8(static_cast<uint8_t>(conn->result_encoding));
     SendFrame(conn, Op::kHelloOk, w.Take());
     return;
   }
@@ -480,12 +415,7 @@ void Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       }
       auto id = static_cast<service::SessionId>(*sid);
       if (conn->sessions.erase(id) == 0) {
-        PayloadWriter w;
-        w.PutU64(0);
-        w.PutU32(static_cast<uint32_t>(StatusCode::kNotFound));
-        w.PutString("session " + std::to_string(id) +
-                    " not owned by this connection");
-        SendFrame(conn, Op::kError, w.Take());
+        SendError(conn, 0, NotOwned(id));
         return;
       }
       service_->CloseSession(id);
@@ -571,13 +501,16 @@ void Server::HandleQuery(const std::shared_ptr<Connection>& conn,
     ProtocolError(conn, "duplicate query id " + std::to_string(*qid));
     return;
   }
+  queries_received_.fetch_add(1, std::memory_order_relaxed);
+  auto id = static_cast<service::SessionId>(*sid);
+  if (conn->sessions.count(id) == 0) {
+    SendError(conn, *qid, NotOwned(id));
+    return;
+  }
 
   auto ctx = std::make_shared<QueryCtx>(*qid);
   ctx->scripted.assign(scripted.begin(), scripted.end());
   auto user = std::make_shared<RemoteUser>(this, conn, ctx);
-  auto sink = std::make_shared<StreamSink>(this, conn, ctx);
-  sink->set_encoding(conn->result_encoding);  // loop thread, pre-Submit
-  queries_received_.fetch_add(1, std::memory_order_relaxed);
 
   // Register + acknowledge BEFORE Submit: a worker may pick the query up
   // and ASK immediately, and the client must already know the query id
@@ -591,26 +524,18 @@ void Server::HandleQuery(const std::shared_ptr<Connection>& conn,
 
   service::SubmitOptions opts;
   opts.user = user.get();
-  opts.progress = sink.get();
-  opts.stream_chunk_rows = options_.stream_chunk_rows;
-  // The callback owns user/sink/ctx until the query completes.
-  opts.on_complete = [this, conn, ctx, user, sink](
+  opts.on_final_output = [this, conn, ctx](const rel::TablePtr& table) {
+    StreamResult(conn, ctx, *table);
+  };
+  // The callback owns user/ctx until the query completes.
+  opts.on_complete = [this, conn, ctx, user](
                          const Result<engine::QueryOutcome>& outcome) {
     OnQueryComplete(conn, ctx, outcome);
   };
-  auto submitted = service_->Submit(static_cast<service::SessionId>(*sid),
-                                    *nl, std::move(opts));
+  auto submitted = service_->Submit(id, *nl, std::move(opts));
   if (!submitted.ok()) {
     conn->queries.erase(*qid);
-    const Status& st = submitted.status();
-    if (st.IsUnavailable()) {
-      unavailable_sent_.fetch_add(1, std::memory_order_relaxed);
-    }
-    PayloadWriter w;
-    w.PutU64(*qid);
-    w.PutU32(static_cast<uint32_t>(st.code()));
-    w.PutString(st.message());
-    SendFrame(conn, Op::kError, w.Take());
+    SendError(conn, *qid, submitted.status());
   }
 }
 
@@ -668,6 +593,52 @@ void Server::SendFrame(const std::shared_ptr<Connection>& conn, Op op,
       if (conn->state != Connection::State::kClosed) FlushWrites(conn);
     });
   }
+}
+
+void Server::SendError(const std::shared_ptr<Connection>& conn, uint64_t qid,
+                       const Status& st) {
+  if (st.IsUnavailable()) {
+    unavailable_sent_.fetch_add(1, std::memory_order_relaxed);
+  }
+  PayloadWriter w;
+  w.PutU64(qid);
+  w.PutU32(static_cast<uint32_t>(st.code()));
+  w.PutString(st.message());
+  SendFrame(conn, Op::kError, w.Take());
+}
+
+/// Streams the final output as PARTIAL_RESULT frames of
+/// options_.stream_chunk_rows rows. Runs on the worker that finished the
+/// final plan node, ahead of FINAL. An empty table still goes out as one
+/// frame so the client always learns the schema.
+void Server::StreamResult(const std::shared_ptr<Connection>& conn,
+                          const std::shared_ptr<QueryCtx>& ctx,
+                          const rel::Table& table) {
+  const size_t n = table.num_rows();
+  const size_t k = options_.stream_chunk_rows == 0
+                       ? n
+                       : options_.stream_chunk_rows;
+  size_t off = 0;
+  do {
+    {
+      common::MutexLock lock(ctx->mu);
+      if (ctx->cancelled || ctx->detached) return;
+    }
+    rel::Table chunk = table.Slice(off, off + k);
+    PayloadWriter w;
+    w.PutU64(ctx->qid);
+    w.PutU32(ctx->chunks.fetch_add(1, std::memory_order_relaxed));
+    w.PutU64(off);
+    EncodeTableColumnar(chunk, &w);
+    ctx->rows.fetch_add(chunk.num_rows(), std::memory_order_relaxed);
+    std::string payload = w.Take();
+    partial_frames_.fetch_add(1, std::memory_order_relaxed);
+    partial_bytes_.fetch_add(
+        static_cast<int64_t>(kFrameHeaderBytes + 1 + payload.size()),
+        std::memory_order_relaxed);
+    SendFrame(conn, Op::kPartialResult, payload);
+    off += k;
+  } while (off < n);
 }
 
 void Server::FlushWrites(const std::shared_ptr<Connection>& conn) {
@@ -733,11 +704,7 @@ void Server::OnQueryComplete(const std::shared_ptr<Connection>& conn,
   }
   if (!detached) {
     if (cancelled) {
-      PayloadWriter w;
-      w.PutU64(ctx->qid);
-      w.PutU32(static_cast<uint32_t>(StatusCode::kUserAborted));
-      w.PutString("query cancelled by client");
-      SendFrame(conn, Op::kError, w.Take());
+      SendError(conn, ctx->qid, Status::UserAborted("query cancelled by client"));
     } else if (outcome.ok()) {
       const engine::QueryOutcome& out = outcome.value();
       PayloadWriter w;
@@ -751,15 +718,7 @@ void Server::OnQueryComplete(const std::shared_ptr<Connection>& conn,
                   std::to_string(out.report.total_anomalies));
       SendFrame(conn, Op::kFinal, w.Take());
     } else {
-      const Status& st = outcome.status();
-      if (st.IsUnavailable()) {
-        unavailable_sent_.fetch_add(1, std::memory_order_relaxed);
-      }
-      PayloadWriter w;
-      w.PutU64(ctx->qid);
-      w.PutU32(static_cast<uint32_t>(st.code()));
-      w.PutString(st.message());
-      SendFrame(conn, Op::kError, w.Take());
+      SendError(conn, ctx->qid, outcome.status());
     }
   }
   // Deregister on the loop thread (conn->queries is loop-thread state).

@@ -6,9 +6,10 @@
 /// per-connection state machine (AWAIT_HELLO -> READY -> CLOSED).
 /// Queries are handed to the existing service::QueryService worker
 /// pool; the wire work the workers produce — ASK frames for
-/// clarification round-trips, PARTIAL_RESULT frames streamed from the
-/// executor's progress sink, the FINAL frame — is appended to the
-/// connection's outbox under a lock and flushed by the loop thread.
+/// clarification round-trips, PARTIAL_RESULT frames sliced from the
+/// executor's final output as soon as it exists, the FINAL frame — is
+/// appended to the connection's outbox under a lock and flushed by the
+/// loop thread.
 ///
 /// Backpressure is layered:
 ///  - per connection, a write-buffer high-water mark: when a slow
@@ -59,13 +60,14 @@ struct ServerOptions {
   /// buffered outbound bytes the server stops reading from the socket;
   /// reading resumes below half the mark.
   size_t write_high_water = 1u << 20;
-  /// Rows per PARTIAL_RESULT frame streamed while the final plan node
-  /// completes (0 = whole table in one frame).
+  /// Rows per PARTIAL_RESULT frame streamed when the final plan node
+  /// completes (0 = whole table in one frame). The chunk size is a wire
+  /// decision: the engine hands over the whole table and the server
+  /// slices it.
   size_t stream_chunk_rows = 64;
   /// SO_SNDBUF for accepted sockets (0 = kernel default). Tests shrink
   /// it so the high-water mark triggers deterministically.
   int sndbuf_bytes = 0;
-  PollBackend backend = PollBackend::kAuto;
 };
 
 /// Wire-level counters (all atomically maintained; cheap to sample).
@@ -76,7 +78,7 @@ struct NetStats {
   int64_t frames_sent = 0;  ///< queued to an outbox (sent or pending)
   int64_t protocol_errors = 0;  ///< violations that closed a connection
   int64_t queries_received = 0;
-  int64_t partial_frames = 0;  ///< PARTIAL_RESULT[_COL] frames streamed
+  int64_t partial_frames = 0;  ///< PARTIAL_RESULT frames streamed
   int64_t partial_bytes = 0;   ///< wire bytes across those frames
                                ///< (header + opcode + payload)
   int64_t unavailable_sent = 0;  ///< overload shed as UNAVAILABLE errors
@@ -120,9 +122,7 @@ class Server {
   struct Connection;
   struct QueryCtx;
   class RemoteUser;
-  class StreamSink;
   friend class RemoteUser;
-  friend class StreamSink;
 
   // Loop-thread handlers.
   void OnAcceptable();
@@ -141,6 +141,12 @@ class Server {
   // Worker-thread entry points (thread-safe).
   void SendFrame(const std::shared_ptr<Connection>& conn, Op op,
                  const std::string& payload);
+  /// ERROR frame for query `qid` (0 = no query) carrying `st`.
+  void SendError(const std::shared_ptr<Connection>& conn, uint64_t qid,
+                 const Status& st);
+  void StreamResult(const std::shared_ptr<Connection>& conn,
+                    const std::shared_ptr<QueryCtx>& ctx,
+                    const rel::Table& table);
   void OnQueryComplete(const std::shared_ptr<Connection>& conn,
                        const std::shared_ptr<QueryCtx>& ctx,
                        const Result<engine::QueryOutcome>& outcome);

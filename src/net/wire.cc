@@ -26,7 +26,6 @@ const char* OpName(Op op) {
     case Op::kError: return "ERROR";
     case Op::kStatsOk: return "STATS_OK";
     case Op::kPong: return "PONG";
-    case Op::kPartialResultCol: return "PARTIAL_RESULT_COL";
   }
   return "UNKNOWN";
 }

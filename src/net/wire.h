@@ -19,8 +19,10 @@
 /// clarification round-trips (server ASKs, client REPLYs), streamed
 /// partial results (one PARTIAL_RESULT frame per row chunk, flushed as
 /// the executor's final node completes), cancellation, and a stats
-/// probe. Overload is shed as an ERROR frame carrying kUnavailable —
-/// protocol-level backpressure instead of a dropped connection.
+/// probe. Results travel in exactly one encoding, the columnar table
+/// below; HELLO and HELLO_OK carry only the magic. Overload is shed as
+/// an ERROR frame carrying kUnavailable — protocol-level backpressure
+/// instead of a dropped connection.
 ///
 /// \ingroup kathdb_net
 
@@ -62,23 +64,17 @@ enum class Op : uint8_t {
   kQueryAccepted = 0x84,  ///< u64 query_id
   kAsk = 0x85,     ///< u64 query_id, string stage, string question
   kNotify = 0x86,  ///< u64 query_id, string stage, string message
-  kPartialResult = 0x87,  ///< u64 query_id, u32 seq, u64 row_offset,
-                          ///< string chunk CSV (typed header + rows)
+  // 0x87 stays unassigned: a peer still sending the retired CSV result
+  // frame gets the unknown-opcode close, never a misparse.
   kFinal = 0x88,  ///< u64 query_id, u32 chunks, u64 total_rows,
                   ///< string lineage_summary, string stats
   kError = 0x89,  ///< u64 query_id (0 = no query), u32 status code,
                   ///< string message; kUnavailable = overload shed
   kStatsOk = 0x8A,  ///< string stats text
   kPong = 0x8B,     ///< echoed PING payload
-  kPartialResultCol = 0x8C,  ///< u64 query_id, u32 seq, u64 row_offset,
-                             ///< columnar table (EncodeTableColumnar)
+  kPartialResult = 0x8C,  ///< u64 query_id, u32 seq, u64 row_offset,
+                          ///< columnar table (EncodeTableColumnar)
 };
-
-/// How PARTIAL_RESULT chunks are encoded on a connection, negotiated at
-/// HELLO: clients that append the columnar flag to their HELLO get
-/// PARTIAL_RESULT_COL frames (typed column buffers, no text round trip);
-/// everything else gets the original CSV PARTIAL_RESULT frames.
-enum class ResultEncoding : uint8_t { kCsv = 0, kColumnar = 1 };
 
 /// Human-readable opcode name ("QUERY", "PARTIAL_RESULT", ...).
 const char* OpName(Op op);
@@ -160,10 +156,9 @@ class PayloadReader {
   size_t pos_ = 0;
 };
 
-/// \brief Columnar table encoding for PARTIAL_RESULT_COL payloads.
+/// \brief Columnar table encoding for PARTIAL_RESULT payloads.
 ///
-/// Serializes the ColumnVector buffers of a result chunk directly instead
-/// of rendering CSV text:
+/// Serializes the ColumnVector buffers of a result chunk directly:
 ///
 ///     u32 ncols
 ///     ncols x { string name, u8 dtype }          -- schema
@@ -188,7 +183,7 @@ class PayloadReader {
 /// Varints are LEB128 (little-endian 7-bit groups); zigzag maps int64
 /// n to (n << 1) ^ (n >> 63) so small magnitudes of either sign stay
 /// short. Schema columns beyond num_physical_columns() encode as EMPTY
-/// blocks. Lineage ids do not travel (matching the CSV result path).
+/// blocks. Lineage ids do not travel.
 void EncodeTableColumnar(const rel::Table& table, PayloadWriter* w);
 
 /// Decodes an EncodeTableColumnar payload into a table named `name`.

@@ -160,8 +160,7 @@ Result<OutcomeFuture> QueryService::Submit(SessionId id, std::string nl_query,
       user = &scripted;
     }
     engine::ExecutorOptions exec_opts = MakeExecOptions();
-    exec_opts.progress = opts.progress;
-    exec_opts.stream_chunk_rows = opts.stream_chunk_rows;
+    exec_opts.on_final_output = opts.on_final_output;
     Result<engine::QueryOutcome> outcome = db_->QueryDetached(
         nl_query, user, exec_opts,
         exec_opts.max_parallel_nodes > 1 ? exec_pool_.get() : nullptr);

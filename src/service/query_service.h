@@ -129,12 +129,10 @@ struct SubmitOptions {
   /// frames to the client). Not owned; must stay valid until the query
   /// completes. Null = a per-query ScriptedUser replaying `replies`.
   llm::UserChannel* user = nullptr;
-  /// Streamed partial results: the executor reports node completions and
-  /// final-output row chunks through this sink as they happen. Not
-  /// owned; must be thread-safe and outlive the query.
-  engine::ProgressSink* progress = nullptr;
-  /// Rows per streamed chunk (0 = whole table in one chunk).
-  size_t stream_chunk_rows = 0;
+  /// Streamed results: passed through as
+  /// engine::ExecutorOptions::on_final_output (called once, on a worker
+  /// thread, with the final node's output as soon as it exists).
+  std::function<void(const rel::TablePtr&)> on_final_output;
   /// Invoked on the worker thread right after the outcome is recorded
   /// and *before* the future resolves — the net layer sends its FINAL
   /// frame here so it is ordered after every streamed chunk. Captured
@@ -212,8 +210,8 @@ class QueryService {
   Result<OutcomeFuture> Submit(SessionId id, std::string nl_query,
                                std::vector<std::string> replies = {});
 
-  /// Full-control variant: external user channel, progress sink and
-  /// completion callback (see SubmitOptions). Same admission rules.
+  /// Full-control variant: external user channel, streamed-result and
+  /// completion callbacks (see SubmitOptions). Same admission rules.
   Result<OutcomeFuture> Submit(SessionId id, std::string nl_query,
                                SubmitOptions opts);
 

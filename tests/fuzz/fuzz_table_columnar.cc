@@ -1,12 +1,12 @@
 /// \file fuzz_table_columnar.cc
-/// \brief libFuzzer harness for the PARTIAL_RESULT_COL columnar decoder.
+/// \brief libFuzzer harness for the PARTIAL_RESULT columnar decoder.
 ///
 /// DecodeTableColumnar parses the densest attacker-reachable format in
 /// the protocol: varints, validity bitmaps, dictionary indirection and
 /// per-row type tags. The harness feeds it arbitrary bytes (must reject
 /// or accept, never crash) and, when the input decodes, re-encodes the
 /// table and decodes again, asserting the round trip is value-identical
-/// — the invariant the CSV/columnar encoding negotiation relies on.
+/// — the invariant the columnar result stream relies on.
 ///
 /// Built two ways (see CMakeLists):
 ///  - with clang + -fsanitize=fuzzer as a real fuzzer (KATHDB_BUILD_FUZZERS)

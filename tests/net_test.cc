@@ -1,6 +1,7 @@
 // Tests for the src/net subsystem: the kathdb-wire/1 codec, the event
-// loop backends, and the full server/client path over loopback TCP —
-// streamed partial results byte-identical to the in-process service,
+// loop, and the full server/client path over loopback TCP — streamed
+// partial results cell-identical to the in-process service at every
+// chunk size, session ownership,
 // clarification round-trips over the wire, protocol hardening
 // (malformed/truncated/oversized frames, unknown opcodes), slow-client
 // backpressure via the write high-water mark, overload shed as
@@ -10,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <deque>
 #include <functional>
@@ -122,27 +125,16 @@ TEST(WireCodec, PayloadReaderRejectsTruncation) {
 // Event loop
 
 TEST(EventLoopTest, RunsTasksAndStops) {
-  for (PollBackend backend : {PollBackend::kAuto, PollBackend::kPoll}) {
-    EventLoop loop(backend);
-    std::atomic<int> ran{0};
-    std::thread t([&loop] { loop.Run(); });
-    for (int i = 0; i < 10; ++i) {
-      loop.RunInLoop([&ran] { ran.fetch_add(1); });
-    }
-    ASSERT_TRUE(PollUntil([&ran] { return ran.load() == 10; }));
-    loop.Stop();
-    t.join();
+  EventLoop loop;
+  std::atomic<int> ran{0};
+  std::thread t([&loop] { loop.Run(); });
+  for (int i = 0; i < 10; ++i) {
+    loop.RunInLoop([&ran] { ran.fetch_add(1); });
   }
+  ASSERT_TRUE(PollUntil([&ran] { return ran.load() == 10; }));
+  loop.Stop();
+  t.join();
 }
-
-#if defined(__linux__)
-TEST(EventLoopTest, BackendSelection) {
-  EventLoop auto_loop(PollBackend::kAuto);
-  EXPECT_TRUE(auto_loop.using_epoll());
-  EventLoop poll_loop(PollBackend::kPoll);
-  EXPECT_FALSE(poll_loop.using_epoll());
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // Server fixture
@@ -155,13 +147,20 @@ class NetFixture : public ::testing::Test {
     auto ds = data::GenerateMovieDataset(opts);
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
     dataset_ = std::move(ds).value();
-    // Pin the similarity implementation: "auto" profiles the two
-    // same-score candidates by wall clock, and the byte-identity test
-    // compares lineage (template ids included) across two engines.
+    db_ = MakeEngine();
+  }
+
+  /// A freshly ingested engine. Two of them answer one query with
+  /// identical tables and lineage summaries (function ver ids included).
+  /// The similarity implementation is pinned: "auto" profiles the two
+  /// same-score candidates by wall clock, and the byte-identity test
+  /// compares lineage (template ids included) across engines.
+  std::unique_ptr<engine::KathDB> MakeEngine() {
     engine::KathDBOptions db_opts;
     db_opts.optimizer.similarity_impl = "score";
-    db_ = std::make_unique<engine::KathDB>(db_opts);
-    ASSERT_TRUE(data::IngestDataset(dataset_, db_.get()).ok());
+    auto db = std::make_unique<engine::KathDB>(db_opts);
+    EXPECT_TRUE(data::IngestDataset(dataset_, db.get()).ok());
+    return db;
   }
 
   void StartServer(service::ServiceOptions svc_opts = {},
@@ -172,18 +171,14 @@ class NetFixture : public ::testing::Test {
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
 
-  std::unique_ptr<Client> Connect(
-      int rcvbuf_bytes = 0,
-      ResultEncoding encoding = ResultEncoding::kColumnar) {
+  std::unique_ptr<Client> Connect(int rcvbuf_bytes = 0) {
     ClientOptions copts;
     copts.port = server_->port();
     copts.recv_timeout_ms = kRecvTimeoutMs;
     copts.rcvbuf_bytes = rcvbuf_bytes;
-    copts.result_encoding = encoding;
     auto client = std::make_unique<Client>(copts);
     Status st = client->Connect();
     EXPECT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(client->negotiated_encoding(), encoding);
     return client;
   }
 
@@ -201,69 +196,80 @@ class NetFixture : public ::testing::Test {
 // Streaming end to end
 
 TEST_F(NetFixture, StreamedQueryMatchesInProcessByteForByte) {
-  // Reference: the same query through the in-process service on a second,
-  // identically seeded engine (same dataset seed -> same tables, same
-  // function ver_ids, same lineage summary).
-  data::DatasetOptions opts;
-  opts.num_movies = 12;
-  auto ds = data::GenerateMovieDataset(opts);
-  ASSERT_TRUE(ds.ok());
-  engine::KathDBOptions ref_opts;
-  ref_opts.optimizer.similarity_impl = "score";
-  engine::KathDB ref_db(ref_opts);
-  ASSERT_TRUE(data::IngestDataset(ds.value(), &ref_db).ok());
+  // Reference: the query through the in-process service on a second,
+  // identically seeded engine (same tables, same function ver_ids, same
+  // lineage summary).
   engine::QueryOutcome expected;
   {
-    service::QueryService ref_service(&ref_db);
+    auto ref_db = MakeEngine();
+    service::QueryService ref_service(ref_db.get());
     service::SessionId sid = ref_service.OpenSession(kPaperReplies);
     auto outcome = ref_service.Query(sid, kPaperQuery);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     expected = std::move(outcome).value();
   }
+  const size_t n = expected.result.num_rows();
+  ASSERT_GE(n, 2u);
 
-  ServerOptions net_opts;
-  net_opts.stream_chunk_rows = 1;  // one row per frame: maximal streaming
-  StartServer({}, net_opts);
-  auto client = Connect();
-  auto sid = client->OpenSession();
-  ASSERT_TRUE(sid.ok()) << sid.status().ToString();
+  // Every chunk size streams the same table: whole-table (0), one row
+  // per frame, a multi-row split, exactly N, and larger than N.
+  for (size_t k : {size_t{0}, size_t{1}, size_t{2}, n, n + 1}) {
+    SCOPED_TRACE("stream_chunk_rows=" + std::to_string(k));
+    server_.reset();  // stops the server before its service goes
+    service_.reset();
+    db_ = MakeEngine();  // fresh engine: ver ids match the reference
+    ServerOptions net_opts;
+    net_opts.stream_chunk_rows = k;
+    StartServer({}, net_opts);
+    auto client = Connect();
+    auto sid = client->OpenSession();
+    ASSERT_TRUE(sid.ok()) << sid.status().ToString();
 
-  // Clarifications answered live over the wire: the server ASKs, the
-  // handler REPLYs.
-  std::deque<std::string> replies(kPaperReplies.begin(), kPaperReplies.end());
-  auto result = client->Query(
-      *sid, kPaperQuery, /*scripted=*/{},
-      [&replies](const std::string&, const std::string&) {
-        std::optional<std::string> answer;
-        if (!replies.empty()) {
-          answer = replies.front();
-          replies.pop_front();
-        }
-        return answer;
-      });
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // Clarifications answered live over the wire: the server ASKs, the
+    // handler REPLYs.
+    std::deque<std::string> replies(kPaperReplies.begin(),
+                                    kPaperReplies.end());
+    auto result = client->Query(
+        *sid, kPaperQuery, /*scripted=*/{},
+        [&replies](const std::string&, const std::string&) {
+          std::optional<std::string> answer;
+          if (!replies.empty()) {
+            answer = replies.front();
+            replies.pop_front();
+          }
+          return answer;
+        });
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->questions_answered, 3u);
+    EXPECT_TRUE(replies.empty());
 
-  EXPECT_EQ(result->questions_answered, 3u);
-  EXPECT_TRUE(replies.empty());
-  // >= 2 partial frames before FINAL (one per row here).
-  EXPECT_GE(result->partial_frames, 2u);
-  EXPECT_EQ(result->partial_frames, expected.result.num_rows());
-  EXPECT_EQ(result->total_rows, expected.result.num_rows());
+    const size_t want_frames =
+        k == 0 ? 1 : std::max<size_t>(1, (n + k - 1) / k);
+    EXPECT_EQ(result->partial_frames, want_frames);
+    EXPECT_EQ(result->total_rows, n);
+    EXPECT_EQ(server_->stats().partial_frames,
+              static_cast<int64_t>(want_frames));
 
-  // Reassembled table and lineage summary are byte-identical to the
-  // in-process outcome.
-  EXPECT_EQ(rel::TableToCsv(result->table), rel::TableToCsv(expected.result));
-  EXPECT_EQ(result->lineage_summary, LineageSummary(expected.report));
-
-  EXPECT_GE(server_->stats().partial_frames,
-            static_cast<int64_t>(result->partial_frames));
+    // The reassembled table is cell-identical, exact value types
+    // included, and the lineage summary is byte-identical.
+    ASSERT_TRUE(result->table.schema() == expected.result.schema());
+    ASSERT_EQ(result->table.num_rows(), n);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < expected.result.schema().num_columns(); ++c) {
+        EXPECT_EQ(result->table.at(r, c), expected.result.at(r, c));
+        EXPECT_EQ(result->table.at(r, c).type(),
+                  expected.result.at(r, c).type());
+      }
+    }
+    EXPECT_EQ(result->lineage_summary, LineageSummary(expected.report));
+  }
 }
 
 TEST_F(NetFixture, CsvAndColumnarEncodingsMatchInProcessByteForByte) {
-  // Three-way differential: the same query through the in-process
-  // service, a legacy CSV connection, and a columnar connection must
-  // produce byte-identical tables (per TableToCsv) and identical
-  // lineage summaries — the wire encoding is invisible to results.
+  // The same query through the in-process service and through a
+  // connection on the same engine: the streamed (columnar) table
+  // renders to byte-identical CSV, is cell-identical with exact value
+  // types, and carries the same lineage summary up to ver ids.
   engine::QueryOutcome expected;
   {
     service::QueryService ref_service(db_.get());
@@ -279,25 +285,18 @@ TEST_F(NetFixture, CsvAndColumnarEncodingsMatchInProcessByteForByte) {
   net_opts.stream_chunk_rows = 2;  // force multi-chunk reassembly
   StartServer({}, net_opts);
 
-  auto run_as = [&](ResultEncoding encoding) {
-    auto client = Connect(0, encoding);
-    auto sid = client->OpenSession();
-    EXPECT_TRUE(sid.ok());
-    auto result = client->Query(*sid, kPaperQuery, kPaperReplies);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    client->CloseSession(*sid);
-    return std::move(*result);
-  };
-  StreamedResult via_csv = run_as(ResultEncoding::kCsv);
-  StreamedResult via_col = run_as(ResultEncoding::kColumnar);
+  auto client = Connect();
+  auto sid = client->OpenSession();
+  ASSERT_TRUE(sid.ok()) << sid.status().ToString();
+  auto result = client->Query(*sid, kPaperQuery, kPaperReplies);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  client->CloseSession(*sid);
+  StreamedResult via_col = std::move(*result);
 
   EXPECT_GE(via_col.partial_frames, 2u);
-  EXPECT_EQ(via_csv.partial_frames, via_col.partial_frames);
-  EXPECT_EQ(rel::TableToCsv(via_csv.table),
-            rel::TableToCsv(expected.result));
   EXPECT_EQ(rel::TableToCsv(via_col.table),
             rel::TableToCsv(expected.result));
-  // The three runs share one engine, so each registers fresh function
+  // Both runs share one engine, so each registers fresh function
   // versions; the summaries must agree on everything but the ver ids.
   auto normalize_vers = [](std::string s) {
     size_t pos = 0;
@@ -311,12 +310,8 @@ TEST_F(NetFixture, CsvAndColumnarEncodingsMatchInProcessByteForByte) {
     }
     return s;
   };
-  EXPECT_EQ(normalize_vers(via_csv.lineage_summary),
-            normalize_vers(LineageSummary(expected.report)));
   EXPECT_EQ(normalize_vers(via_col.lineage_summary),
-            normalize_vers(via_csv.lineage_summary));
-  // The columnar table is cell-identical, exact value types included —
-  // stronger than the CSV rendering check.
+            normalize_vers(LineageSummary(expected.report)));
   ASSERT_EQ(via_col.table.num_rows(), expected.result.num_rows());
   for (size_t r = 0; r < expected.result.num_rows(); ++r) {
     for (size_t c = 0; c < expected.result.schema().num_columns(); ++c) {
@@ -328,25 +323,46 @@ TEST_F(NetFixture, CsvAndColumnarEncodingsMatchInProcessByteForByte) {
   // Wire accounting: the server metered bytes for the partial frames.
   NetStats stats = server_->stats();
   EXPECT_GE(stats.partial_frames,
-            static_cast<int64_t>(via_csv.partial_frames +
-                                 via_col.partial_frames));
+            static_cast<int64_t>(via_col.partial_frames));
   EXPECT_GT(stats.partial_bytes, 0);
 }
 
-TEST_F(NetFixture, LegacyBareHelloStillNegotiatesCsv) {
+TEST_F(NetFixture, QueryOnForeignSessionIsRejected) {
   StartServer();
-  ClientOptions copts;
-  copts.port = server_->port();
-  copts.recv_timeout_ms = kRecvTimeoutMs;
-  copts.result_encoding = ResultEncoding::kCsv;  // bare legacy HELLO
-  Client client(copts);
-  ASSERT_TRUE(client.Connect().ok());
-  EXPECT_EQ(client.negotiated_encoding(), ResultEncoding::kCsv);
-  auto sid = client.OpenSession();
-  ASSERT_TRUE(sid.ok());
-  auto result = client.Query(*sid, kPaperQuery, kPaperReplies);
+  auto a = Connect();
+  auto b = Connect();
+  auto sid_a = a->OpenSession();
+  ASSERT_TRUE(sid_a.ok());
+
+  // B submits on A's session by hand, so the ERROR frame's query id is
+  // visible.
+  PayloadWriter w;
+  w.PutU64(*sid_a);
+  w.PutU64(7);
+  w.PutString(kPaperQuery);
+  w.PutU32(static_cast<uint32_t>(kPaperReplies.size()));
+  for (const auto& reply : kPaperReplies) w.PutString(reply);
+  ASSERT_TRUE(b->SendFrame(Op::kQuery, w.Take()).ok());
+  auto frame = b->ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_EQ(frame->op, Op::kError) << OpName(frame->op);
+  PayloadReader r(frame->payload);
+  auto qid = r.U64();
+  auto code = r.U32();
+  auto msg = r.String();
+  ASSERT_TRUE(qid.ok() && code.ok() && msg.ok());
+  EXPECT_EQ(*qid, 7u);
+  EXPECT_EQ(static_cast<StatusCode>(*code), StatusCode::kNotFound);
+  EXPECT_EQ(*msg, "session " + std::to_string(*sid_a) +
+                      " not owned by this connection");
+  EXPECT_EQ(service_->stats().submitted, 0);
+  EXPECT_TRUE(b->Ping("still alive").ok());  // an error, not a close
+
+  // A's session is untouched and still serves A.
+  auto result = a->Query(*sid_a, kPaperQuery, kPaperReplies);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->total_rows, 0u);
+  EXPECT_EQ(service_->stats().submitted, 1);
 }
 
 TEST_F(NetFixture, MalformedHelloEncodingClosesTheConnection) {
@@ -358,7 +374,7 @@ TEST_F(NetFixture, MalformedHelloEncodingClosesTheConnection) {
   ASSERT_TRUE(client.ConnectRaw().ok());
   PayloadWriter w;
   w.PutString(kWireMagic);
-  w.PutU8(99);  // not a ResultEncoding
+  w.PutU8(99);  // HELLO carries the magic and nothing else
   ASSERT_TRUE(client.SendFrame(Op::kHello, w.Take()).ok());
   auto frame = client.ReadFrame();
   EXPECT_FALSE(frame.ok());  // server closed without HELLO_OK
@@ -382,19 +398,6 @@ TEST_F(NetFixture, ScriptedRepliesRideAlongInTheQueryFrame) {
   EXPECT_FALSE(asked);
   EXPECT_EQ(result->questions_answered, 0u);
   EXPECT_GT(result->total_rows, 0u);
-}
-
-TEST_F(NetFixture, PollBackendServesQueries) {
-  ServerOptions net_opts;
-  net_opts.backend = PollBackend::kPoll;
-  net_opts.stream_chunk_rows = 1;
-  StartServer({}, net_opts);
-  auto client = Connect();
-  auto sid = client->OpenSession();
-  ASSERT_TRUE(sid.ok());
-  auto result = client->Query(*sid, kPaperQuery, kPaperReplies);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GE(result->partial_frames, 2u);
 }
 
 TEST_F(NetFixture, StatsFrameReportsServiceAndNetCounters) {

@@ -248,14 +248,14 @@ TEST(WireSerde, SurvivesAFullFrameRoundTrip) {
   w.PutU32(0);        // seq
   w.PutU64(0);        // row offset
   EncodeTableColumnar(t, &w);
-  std::string framed = EncodeFrame(Op::kPartialResultCol, w.Take());
+  std::string framed = EncodeFrame(Op::kPartialResult, w.Take());
 
   FrameReader reader(4u << 20);
   reader.Feed(framed.data(), framed.size());
   Frame frame;
   auto got = reader.Next(&frame);
   ASSERT_TRUE(got.ok() && *got);
-  ASSERT_EQ(frame.op, Op::kPartialResultCol);
+  ASSERT_EQ(frame.op, Op::kPartialResult);
   PayloadReader r(frame.payload);
   ASSERT_TRUE(r.U64().ok() && r.U32().ok() && r.U64().ok());
   auto decoded = DecodeTableColumnar(&r, "all_types");

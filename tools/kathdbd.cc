@@ -5,7 +5,7 @@
 ///
 /// Usage:
 ///   kathdbd [--host H] [--port P] [--movies N] [--workers N]
-///           [--queue N] [--chunk-rows N] [--poll]
+///           [--queue N] [--chunk-rows N]
 ///
 /// With --port 0 (the default) the kernel assigns an ephemeral port; the
 /// bound port is printed on stdout either way, so scripts can do:
@@ -39,13 +39,6 @@ std::string ArgStr(int argc, char** argv, const char* name,
     if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
   }
   return def;
-}
-
-bool ArgFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -87,19 +80,15 @@ int main(int argc, char** argv) {
   net_opts.port = static_cast<uint16_t>(ArgInt(argc, argv, "--port", 0));
   net_opts.stream_chunk_rows =
       static_cast<size_t>(ArgInt(argc, argv, "--chunk-rows", 64));
-  if (ArgFlag(argc, argv, "--poll")) {
-    net_opts.backend = net::PollBackend::kPoll;
-  }
   net::Server server(&service, net_opts);
   st = server.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("kathdbd listening on %s:%u (%s backend, %d workers, %d movies)\n",
-              net_opts.host.c_str(), server.port(),
-              net_opts.backend == net::PollBackend::kPoll ? "poll" : "epoll",
-              svc_opts.workers, data_opts.num_movies);
+  std::printf("kathdbd listening on %s:%u (%d workers, %d movies)\n",
+              net_opts.host.c_str(), server.port(), svc_opts.workers,
+              data_opts.num_movies);
   std::fflush(stdout);
 
   int sig = 0;
