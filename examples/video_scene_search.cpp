@@ -105,14 +105,20 @@ int main() {
        "SELECT fid, pid, COUNT(*) AS n FROM scene_relationships "
        "WHERE vid = 100 GROUP BY fid, pid ORDER BY fid");
 
-  // Scene-level excitement arc from frame statistics.
+  // Scene-level excitement arc from frame statistics: one pass over the
+  // views builds the index, then each frame is a lookup.
   std::printf("=== Excitement arc (action objects per frame) ===\n");
+  auto index = mm::SceneIndex::Build(*db.catalog());
+  if (!index.ok()) {
+    std::fprintf(stderr, "scene index: %s\n",
+                 index.status().ToString().c_str());
+    return 1;
+  }
   for (int fid = 0; fid < 6; ++fid) {
-    auto stats = mm::ComputeFrameStats(100, fid, *db.catalog());
-    if (!stats.ok()) continue;
+    mm::FrameSceneStats stats = index->Stats(100, fid);
     std::printf("  frame %d: %d action objects, variance %.2f %s\n", fid,
-                stats->num_action_objects, stats->color_variance,
-                stats->num_action_objects > 0 ? "<-- exciting" : "");
+                stats.num_action_objects, stats.color_variance,
+                stats.num_action_objects > 0 ? "<-- exciting" : "");
   }
   return 0;
 }

@@ -12,7 +12,6 @@
 namespace kathdb::fao {
 
 using rel::DataType;
-using rel::Row;
 using rel::Schema;
 using rel::Table;
 using rel::TablePtr;
@@ -64,22 +63,42 @@ Status RequireInputs(const std::vector<TablePtr>& inputs, size_t n,
   return Status::OK();
 }
 
-/// The output of every row-wise body: each input row (cells and lineage
-/// id, in order) followed by the cells `fill` appends for it, under the
-/// input's name. The first error `fill` returns aborts the table.
+/// The output of every row-wise body: the input's columns and lineage
+/// ids, copied column-wise, followed by one column per `extra_cols`
+/// entry, under the input's name. `fill(r, cells)` writes row r's new
+/// cells into cells[0..extra_cols.size()); the first error it returns
+/// aborts the table.
 Result<Table> AppendColumns(
     const Table& in,
     const std::vector<std::pair<std::string, DataType>>& extra_cols,
-    const std::function<Status(size_t r, Row* row)>& fill) {
+    const std::function<Status(size_t r, Value* cells)>& fill) {
   Schema schema = in.schema();
+  size_t width = schema.num_columns();
   for (const auto& [name, type] : extra_cols) schema.AddColumn(name, type);
-  Table out(in.name(), schema);
-  for (size_t r = 0; r < in.num_rows(); ++r) {
-    Row row = in.row(r);
-    KATHDB_RETURN_IF_ERROR(fill(r, &row));
-    out.AppendRow(std::move(row), in.row_lid(r));
+  size_t rows = in.num_rows();
+  // An empty output keeps no column storage: Fingerprint hashes absent
+  // columns differently from zero-length ones, and downstream cache keys
+  // depend on it.
+  if (rows == 0) return Table(in.name(), std::move(schema));
+  std::vector<rel::ColumnPtr> cols;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    auto col = std::make_shared<rel::ColumnVector>();
+    if (c < in.num_physical_columns()) {
+      col->AppendRange(in.column(c), in.offset(), rows);
+    } else if (c < width) {
+      for (size_t r = 0; r < rows; ++r) col->AppendNull();
+    }
+    cols.push_back(std::move(col));
   }
-  return out;
+  std::vector<Value> cells(extra_cols.size());
+  std::vector<int64_t> lids(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    KATHDB_RETURN_IF_ERROR(fill(r, cells.data()));
+    for (size_t i = 0; i < cells.size(); ++i) cols[width + i]->Append(cells[i]);
+    lids[r] = in.row_lid(r);
+  }
+  return Table::FromColumns(in.name(), std::move(schema), std::move(cols),
+                            std::move(lids));
 }
 
 // ------------------------------------------------------------- kernels
@@ -112,8 +131,14 @@ class KeywordScorer {
   }
 
   double Score(int64_t did) {
+    if (!index_.has_value()) {
+      // Built on the first row, once per evaluation. Missing text views
+      // leave the index empty, so every row scores 0.
+      auto built = mm::TextIndex::Build(*ctx_.catalog, ctx_.text_views);
+      index_ = built.ok() ? std::move(built).value() : mm::TextIndex();
+    }
     double hits = 0.0;
-    auto tokens = mm::EntityTokensOf(did, *ctx_.catalog, ctx_.text_views);
+    auto tokens = index_->EntityTokens(did);
     if (tokens.ok()) {
       for (const auto& tok : tokens.value()) {
         double best = BestCosine(tok);
@@ -148,6 +173,7 @@ class KeywordScorer {
   bool memoize_;
   std::vector<vec::Embedding> keywords_;
   std::map<std::string, float> memo_;  // token -> max keyword cosine
+  std::optional<mm::TextIndex> index_;
 };
 
 /// Recency kernel of recency_score and fused_scores: the year scaled
@@ -288,9 +314,9 @@ class KeywordSimilarityFunction : public PhysicalFunction {
     std::string out_col =
         spec_.params.GetString("output_column", "excitement_score");
     return AppendColumns(in, {{out_col, DataType::kDouble}},
-                         [&](size_t r, Row* row) {
+                         [&](size_t r, Value* cells) {
                            int64_t did = in.at(r, didx).AsInt();
-                           row->push_back(Value::Double(scorer.Score(did)));
+                           cells[0] = Value::Double(scorer.Score(did));
                            return Status::OK();
                          });
   }
@@ -313,9 +339,9 @@ class RecencyScoreFunction : public PhysicalFunction {
     std::string out_col =
         spec_.params.GetString("output_column", "recency_score");
     return AppendColumns(in, {{out_col, DataType::kDouble}},
-                         [&](size_t r, Row* row) {
+                         [&](size_t r, Value* cells) {
                            double y = in.at(r, yidx).AsDouble();
-                           row->push_back(Value::Double(rule.Score(y)));
+                           cells[0] = Value::Double(rule.Score(y));
                            return Status::OK();
                          });
   }
@@ -345,12 +371,12 @@ class CombineScoresFunction : public PhysicalFunction {
     std::string out_col =
         spec_.params.GetString("output_column", "final_score");
     return AppendColumns(in, {{out_col, DataType::kDouble}},
-                         [&](size_t r, Row* row) {
+                         [&](size_t r, Value* cells) {
                            double sum = 0.0;
                            for (const auto& [idx, w] : terms) {
                              sum += w * in.at(r, idx).AsDouble();
                            }
-                           row->push_back(Value::Double(sum));
+                           cells[0] = Value::Double(sum);
                            return Status::OK();
                          });
   }
@@ -379,18 +405,24 @@ class ClassifyBoringFunction : public PhysicalFunction {
                             RequireColumn(in, vid_col, spec_.name));
     std::string out_col =
         spec_.params.GetString("output_column", "boring_poster");
+    // Built on the first row that needs stats: an empty input, or the
+    // pixels template, never reads the scene views.
+    std::optional<mm::SceneIndex> index;
     return AppendColumns(
-        in, {{out_col, DataType::kBool}}, [&](size_t r, Row* row) -> Status {
+        in, {{out_col, DataType::kBool}},
+        [&](size_t r, Value* cells) -> Status {
           int64_t vid = in.at(r, vidx).AsInt();
           bool boring = false;
           if (pixels_) {
             KATHDB_ASSIGN_OR_RETURN(boring,
                                     rule.FromPixels(vid, ctx, spec_.name));
           } else {
-            KATHDB_ASSIGN_OR_RETURN(
-                mm::FrameSceneStats stats,
-                mm::ComputeFrameStats(vid, 0, *ctx->catalog,
-                                      ctx->scene_views));
+            if (!index.has_value()) {
+              KATHDB_ASSIGN_OR_RETURN(
+                  index, mm::SceneIndex::Build(*ctx->catalog,
+                                               ctx->scene_views));
+            }
+            mm::FrameSceneStats stats = index->Stats(vid, 0);
             bool confident = std::abs(stats.color_variance -
                                       rule.var_threshold) >= rule.margin;
             if (cascade_ && !confident) {
@@ -400,7 +432,7 @@ class ClassifyBoringFunction : public PhysicalFunction {
               boring = rule.FromStats(stats);
             }
           }
-          row->push_back(Value::Bool(boring));
+          cells[0] = Value::Bool(boring);
           return Status::OK();
         });
   }
@@ -447,12 +479,12 @@ class FusedScoresFunction : public PhysicalFunction {
         {{"excitement_score", DataType::kDouble},
          {"recency_score", DataType::kDouble},
          {"final_score", DataType::kDouble}},
-        [&](size_t r, Row* row) {
+        [&](size_t r, Value* cells) {
           double excitement = scorer.Score(in.at(r, didx).AsInt());
           double rec = recency.Score(in.at(r, yidx).AsDouble());
-          row->push_back(Value::Double(excitement));
-          row->push_back(Value::Double(rec));
-          row->push_back(Value::Double(w_ex * excitement + w_re * rec));
+          cells[0] = Value::Double(excitement);
+          cells[1] = Value::Double(rec);
+          cells[2] = Value::Double(w_ex * excitement + w_re * rec);
           return Status::OK();
         });
   }

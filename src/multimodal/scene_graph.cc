@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "vector/embedding.h"
@@ -208,43 +209,65 @@ Status SimulatedVlm::PopulateFromVideo(int64_t vid,
   return Status::OK();
 }
 
-Result<FrameSceneStats> ComputeFrameStats(int64_t vid, int64_t fid,
-                                          const rel::Catalog& catalog,
-                                          const SceneGraphViews& views) {
+size_t SceneIndex::FrameKeyHash::operator()(const FrameKey& k) const {
+  return static_cast<size_t>(common::HashCombine(
+      static_cast<uint64_t>(k.first), static_cast<uint64_t>(k.second)));
+}
+
+Result<SceneIndex> SceneIndex::Build(const rel::Catalog& catalog,
+                                     const SceneGraphViews& views) {
+  SceneIndex index;
+  KATHDB_ASSIGN_OR_RETURN(index.objects_, catalog.Get(views.objects));
+  KATHDB_ASSIGN_OR_RETURN(TablePtr rels, catalog.Get(views.relationships));
+  KATHDB_ASSIGN_OR_RETURN(index.frames_, catalog.Get(views.frames));
+  auto frame_of = [&index](const Table& t, size_t r) -> Frame& {
+    return index.by_frame_[{t.at(r, 0).AsInt(), t.at(r, 1).AsInt()}];
+  };
+  for (size_t r = 0; r < index.objects_->num_rows(); ++r) {
+    frame_of(*index.objects_, r).object_rows.push_back(r);
+  }
+  for (size_t r = 0; r < rels->num_rows(); ++r) {
+    ++frame_of(*rels, r).num_relationships;
+  }
+  for (size_t r = 0; r < index.frames_->num_rows(); ++r) {
+    Frame& frame = frame_of(*index.frames_, r);
+    if (frame.frame_row == SIZE_MAX) frame.frame_row = r;
+  }
+  return index;
+}
+
+FrameSceneStats SceneIndex::Stats(int64_t vid, int64_t fid) const {
   FrameSceneStats stats;
+  auto it = by_frame_.find({vid, fid});
+  if (it == by_frame_.end()) return stats;
+  const Frame& frame = it->second;
   static const vec::ConceptLexicon lexicon = vec::ConceptLexicon::BuiltIn();
-  KATHDB_ASSIGN_OR_RETURN(TablePtr objects, catalog.Get(views.objects));
-  for (size_t r = 0; r < objects->num_rows(); ++r) {
-    if (objects->at(r, 0).AsInt() != vid || objects->at(r, 1).AsInt() != fid) {
-      continue;
-    }
+  for (size_t r : frame.object_rows) {
     ++stats.num_objects;
-    std::string concept_name = lexicon.ConceptOf(objects->at(r, 4).AsString());
+    std::string concept_name = lexicon.ConceptOf(objects_->at(r, 4).AsString());
     if (concept_name == "action" || concept_name == "violence") {
       ++stats.num_action_objects;
     }
   }
-  KATHDB_ASSIGN_OR_RETURN(TablePtr rels, catalog.Get(views.relationships));
-  for (size_t r = 0; r < rels->num_rows(); ++r) {
-    if (rels->at(r, 0).AsInt() == vid && rels->at(r, 1).AsInt() == fid) {
-      ++stats.num_relationships;
-    }
-  }
-  KATHDB_ASSIGN_OR_RETURN(TablePtr frames, catalog.Get(views.frames));
-  for (size_t r = 0; r < frames->num_rows(); ++r) {
-    if (frames->at(r, 0).AsInt() == vid && frames->at(r, 1).AsInt() == fid) {
-      // Parse " var=<x> " back out of the pixel summary. at() returns the
-      // cell by value, so AsString()'s reference points into a temporary —
-      // copy it out before the full-expression ends.
-      const std::string pix = frames->at(r, 3).AsString();
-      auto pos = pix.find("var=");
-      if (pos != std::string::npos) {
-        stats.color_variance = std::strtod(pix.c_str() + pos + 4, nullptr);
-      }
-      break;
+  stats.num_relationships = frame.num_relationships;
+  if (frame.frame_row != SIZE_MAX) {
+    // Parse " var=<x> " back out of the pixel summary. at() returns the
+    // cell by value, so AsString()'s reference points into a temporary —
+    // copy it out before the full-expression ends.
+    const std::string pix = frames_->at(frame.frame_row, 3).AsString();
+    auto pos = pix.find("var=");
+    if (pos != std::string::npos) {
+      stats.color_variance = std::strtod(pix.c_str() + pos + 4, nullptr);
     }
   }
   return stats;
+}
+
+Result<FrameSceneStats> ComputeFrameStats(int64_t vid, int64_t fid,
+                                          const rel::Catalog& catalog,
+                                          const SceneGraphViews& views) {
+  KATHDB_ASSIGN_OR_RETURN(SceneIndex index, SceneIndex::Build(catalog, views));
+  return index.Stats(vid, fid);
 }
 
 }  // namespace kathdb::mm

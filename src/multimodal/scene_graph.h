@@ -13,7 +13,10 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -104,7 +107,42 @@ struct FrameSceneStats {
   double color_variance = 0.0;
 };
 
+/// \brief (vid, fid) -> Objects rows, Relationships count and first Frames
+/// row, built in one pass over the three views.
+///
+/// The classify_boring FAOs probe one frame per input row; the index
+/// turns that from a scan of the whole corpus into one hash lookup. It
+/// holds the view tables it was built from, so its row numbers stay
+/// valid if the catalog later replaces a view.
+class SceneIndex {
+ public:
+  /// Indexes the objects, relationships and frames views of `catalog`;
+  /// fails when any of the three tables is missing.
+  static Result<SceneIndex> Build(const rel::Catalog& catalog,
+                                  const SceneGraphViews& views = {});
+
+  /// Stats of (vid, fid); the first Frames row supplies the colour
+  /// variance. A frame absent from every view has all-zero stats.
+  FrameSceneStats Stats(int64_t vid, int64_t fid) const;
+
+ private:
+  using FrameKey = std::pair<int64_t, int64_t>;  // (vid, fid)
+  struct FrameKeyHash {
+    size_t operator()(const FrameKey& k) const;
+  };
+  struct Frame {
+    std::vector<size_t> object_rows;  // table order
+    int num_relationships = 0;
+    size_t frame_row = SIZE_MAX;      // first Frames row; SIZE_MAX = none
+  };
+  rel::TablePtr objects_;
+  rel::TablePtr frames_;
+  std::unordered_map<FrameKey, Frame, FrameKeyHash> by_frame_;
+};
+
 /// Computes stats for (vid, fid) from the populated views + Frames pixels.
+/// Builds a SceneIndex for one probe; callers probing many frames build
+/// the index once instead.
 Result<FrameSceneStats> ComputeFrameStats(int64_t vid, int64_t fid,
                                           const rel::Catalog& catalog,
                                           const SceneGraphViews& views = {});

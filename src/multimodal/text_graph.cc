@@ -328,17 +328,26 @@ Status SimulatedNer::PopulateFromDocument(const Document& doc,
   return Status::OK();
 }
 
-Result<std::vector<std::string>> EntityTokensOf(int64_t did,
-                                                const rel::Catalog& catalog,
-                                                const TextGraphViews& views) {
-  KATHDB_ASSIGN_OR_RETURN(TablePtr mentions, catalog.Get(views.mentions));
-  KATHDB_ASSIGN_OR_RETURN(TablePtr texts, catalog.Get(views.texts));
+Result<TextIndex> TextIndex::Build(const rel::Catalog& catalog,
+                                   const TextGraphViews& views) {
+  TextIndex index;
+  KATHDB_ASSIGN_OR_RETURN(index.mentions_, catalog.Get(views.mentions));
+  KATHDB_ASSIGN_OR_RETURN(index.texts_, catalog.Get(views.texts));
+  for (size_t r = 0; r < index.texts_->num_rows(); ++r) {
+    Doc& doc = index.docs_[index.texts_->at(r, 0).AsInt()];
+    if (doc.text_row == SIZE_MAX) doc.text_row = r;
+  }
+  for (size_t r = 0; r < index.mentions_->num_rows(); ++r) {
+    index.docs_[index.mentions_->at(r, 0).AsInt()].mention_rows.push_back(r);
+  }
+  return index;
+}
+
+Result<std::vector<std::string>> TextIndex::EntityTokens(int64_t did) const {
+  auto it = docs_.find(did);
   std::string chars;
-  for (size_t r = 0; r < texts->num_rows(); ++r) {
-    if (texts->at(r, 0).AsInt() == did) {
-      chars = texts->at(r, 2).AsString();
-      break;
-    }
+  if (it != docs_.end() && it->second.text_row != SIZE_MAX) {
+    chars = texts_->at(it->second.text_row, 2).AsString();
   }
   if (chars.empty()) {
     return Status::NotFound("no text for did " + std::to_string(did));
@@ -346,12 +355,11 @@ Result<std::vector<std::string>> EntityTokensOf(int64_t did,
   // First mention surface form per eid (spans slice the Texts view).
   std::set<int64_t> seen;
   std::vector<std::string> out;
-  for (size_t r = 0; r < mentions->num_rows(); ++r) {
-    if (mentions->at(r, 0).AsInt() != did) continue;
-    int64_t eid = mentions->at(r, 4).AsInt();
+  for (size_t r : it->second.mention_rows) {
+    int64_t eid = mentions_->at(r, 4).AsInt();
     if (!seen.insert(eid).second) continue;
-    size_t s1 = static_cast<size_t>(mentions->at(r, 5).AsInt());
-    size_t s2 = static_cast<size_t>(mentions->at(r, 6).AsInt());
+    size_t s1 = static_cast<size_t>(mentions_->at(r, 5).AsInt());
+    size_t s2 = static_cast<size_t>(mentions_->at(r, 6).AsInt());
     if (s1 < s2 && s2 <= chars.size()) {
       for (auto& tok : Tokenize(chars.substr(s1, s2 - s1))) {
         out.push_back(std::move(tok));
@@ -359,6 +367,13 @@ Result<std::vector<std::string>> EntityTokensOf(int64_t did,
     }
   }
   return out;
+}
+
+Result<std::vector<std::string>> EntityTokensOf(int64_t did,
+                                                const rel::Catalog& catalog,
+                                                const TextGraphViews& views) {
+  KATHDB_ASSIGN_OR_RETURN(TextIndex index, TextIndex::Build(catalog, views));
+  return index.EntityTokens(did);
 }
 
 }  // namespace kathdb::mm

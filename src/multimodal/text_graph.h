@@ -18,8 +18,10 @@
 
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -79,8 +81,38 @@ class SimulatedNer {
   int64_t tokens_used_ = 0;
 };
 
+/// \brief did -> Texts and Mentions rows, built in one pass over both views.
+///
+/// Keyword scoring probes one document per input row; the index turns
+/// that from a scan of the whole corpus into one hash lookup. It holds
+/// the view tables it was built from, so its row numbers stay valid if
+/// the catalog later replaces a view. A default-constructed index is
+/// empty: every probe fails with NotFound.
+class TextIndex {
+ public:
+  /// Indexes the mentions and texts views of `catalog`; fails when either
+  /// table is missing.
+  static Result<TextIndex> Build(const rel::Catalog& catalog,
+                                 const TextGraphViews& views = {});
+
+  /// All entity surface forms of `did`: the first mention of each entity
+  /// (in table order) slices the document's first Texts row. NotFound
+  /// when the document has no text or an empty one.
+  Result<std::vector<std::string>> EntityTokens(int64_t did) const;
+
+ private:
+  struct Doc {
+    size_t text_row = SIZE_MAX;        // first Texts row; SIZE_MAX = none
+    std::vector<size_t> mention_rows;  // table order
+  };
+  rel::TablePtr mentions_;
+  rel::TablePtr texts_;
+  std::unordered_map<int64_t, Doc> docs_;
+};
+
 /// All entity surface forms (class + canonical text) extracted for `did`,
-/// the input to keyword-similarity scoring.
+/// the input to keyword-similarity scoring. Builds a TextIndex for one
+/// probe; callers probing many documents build the index once instead.
 Result<std::vector<std::string>> EntityTokensOf(
     int64_t did, const rel::Catalog& catalog, const TextGraphViews& views = {});
 

@@ -1,7 +1,6 @@
 #include "optimizer/optimizer.h"
 
 #include <chrono>
-#include <cmath>
 #include <map>
 
 #include "common/strings.h"
@@ -262,8 +261,9 @@ Result<std::vector<FunctionSpec>> QueryOptimizer::SynthesizeCandidates(
         llm_->GenerateKeywords(rank_term, context);
     // Two physical implementations of the same signature: per-row
     // embedding vs a distinct-token similarity cache (same scores,
-    // different runtime) — the profiler picks by measured cost unless
-    // options pin one.
+    // different runtime). Both are profiled unless options pin one; the
+    // cached one is listed first because it never embeds more, so it
+    // wins the profiler's tie on model cost.
     std::vector<const char*> tmpls;
     if (options_.similarity_impl == "score") {
       tmpls = {"keyword_similarity_score"};
@@ -608,7 +608,6 @@ Result<PhysicalPlan> QueryOptimizer::Optimize(const LogicalPlan& plan,
       }
       size_t best = 0;
       double best_cost = 1e18;
-      double best_runtime = 1e18;
       for (const auto& r : runs) {
         double agreement = 1.0;
         if (reference != nullptr && r.ok &&
@@ -630,14 +629,13 @@ Result<PhysicalPlan> QueryOptimizer::Optimize(const LogicalPlan& plan,
         prof.agreement = agreement;
         profiles_.push_back(prof);
         bool eligible = r.ok && agreement >= options_.accuracy_floor;
-        // Primary criterion: projected model cost; measured sample
-        // runtime breaks ties between equally-priced implementations.
-        bool cheaper = r.est_cost < best_cost - 1e-12;
-        bool tie_faster = std::abs(r.est_cost - best_cost) <= 1e-12 &&
-                          r.runtime_ms < best_runtime;
-        if (eligible && (cheaper || tie_faster)) {
+        // Projected model cost decides; an equally-priced later candidate
+        // never displaces an earlier one, and SynthesizeCandidates lists
+        // the one with less work first. The sample runtime is recorded but
+        // never decides: timing a few rows measures noise, and a plan
+        // picked by noise makes one query's latency vary run to run.
+        if (eligible && r.est_cost < best_cost - 1e-12) {
           best_cost = r.est_cost;
-          best_runtime = r.runtime_ms;
           best = r.idx;
         }
       }

@@ -67,9 +67,9 @@ struct OptimizerOptions {
   /// or "auto" (cost-based selection against the pixel reference).
   std::string boring_impl = "auto";
   /// Physical choice for gen_*_score similarity nodes: "score" (per-row
-  /// embedding), "cached" (distinct-token cache) or "auto" (profiled by
-  /// measured runtime — the two produce identical scores, so "auto" is
-  /// timing-dependent; differential tests pin one).
+  /// embedding), "cached" (distinct-token cache) or "auto" (both profiled;
+  /// they cost the same model tokens, so the cached one, which never
+  /// embeds more, is chosen).
   std::string similarity_impl = "auto";
   /// Minimum sample agreement with the reference implementation that a
   /// cheaper candidate must reach to be chosen under "auto".

@@ -463,6 +463,49 @@ TEST_F(FunctionFixture, ClassifyBoringStatsUsesSceneGraph) {
   EXPECT_FALSE(out.value().at(1, *idx).AsBool());  // vid 22 action
 }
 
+// The scene index is built on the first row that needs stats, so an
+// empty input never reads the scene views: over a catalog without them
+// the stats and cascade templates return the empty output schema. A
+// non-empty input fails with the catalog's missing-view error.
+TEST_F(FunctionFixture, ClassifyBoringEmptyInputNeedsNoSceneViews) {
+  ASSERT_FALSE(catalog_.Has("scene_objects"));
+  TablePtr films = FilmsTable();
+  auto empty = std::make_shared<Table>(films->Slice(0, 0));
+  Schema want = films->schema();
+  want.AddColumn("boring_poster", DataType::kBool);
+  for (const char* id : {"classify_boring_stats", "classify_boring_cascade"}) {
+    FunctionSpec spec;
+    spec.name = "classify_boring";
+    spec.template_id = id;
+    auto out = InstantiateFunction(spec).value()->Execute({empty}, &ctx_);
+    ASSERT_TRUE(out.ok()) << id << ": " << out.status().ToString();
+    EXPECT_EQ(out.value().num_rows(), 0u) << id;
+    EXPECT_EQ(out.value().schema().ToString(), want.ToString()) << id;
+
+    auto full = InstantiateFunction(spec).value()->Execute({films}, &ctx_);
+    ASSERT_FALSE(full.ok()) << id;
+    EXPECT_EQ(full.status().ToString(),
+              catalog_.Get("scene_objects").status().ToString())
+        << id;
+  }
+}
+
+// Without the text views every row still scores 0: the keyword scorer
+// treats a failed index build as an index with no documents.
+TEST_F(FunctionFixture, KeywordSimilarityWithoutTextViewsScoresZero) {
+  ASSERT_FALSE(catalog_.Has("texts"));
+  auto out =
+      InstantiateFunction(KeywordSpec()).value()->Execute({FilmsTable()},
+                                                          &ctx_);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  auto idx = out.value().schema().IndexOf("excitement_score");
+  ASSERT_TRUE(idx.has_value());
+  ASSERT_EQ(out.value().num_rows(), 2u);
+  for (size_t r = 0; r < out.value().num_rows(); ++r) {
+    EXPECT_EQ(out.value().at(r, *idx).AsDouble(), 0.0) << "row " << r;
+  }
+}
+
 TEST_F(FunctionFixture, ClassifyBoringPixelsChargesVisionTokens) {
   PopulateSceneViews(true, false);
   FunctionSpec spec;

@@ -152,9 +152,9 @@ class NetFixture : public ::testing::Test {
 
   /// A freshly ingested engine. Two of them answer one query with
   /// identical tables and lineage summaries (function ver ids included).
-  /// The similarity implementation is pinned: "auto" profiles the two
-  /// same-score candidates by wall clock, and the byte-identity test
-  /// compares lineage (template ids included) across engines.
+  /// The similarity implementation is pinned, so the byte-identity test
+  /// compares lineage (template ids included) across engines on one
+  /// named template rather than on whatever "auto" picks.
   std::unique_ptr<engine::KathDB> MakeEngine() {
     engine::KathDBOptions db_opts;
     db_opts.optimizer.similarity_impl = "score";

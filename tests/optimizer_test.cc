@@ -188,6 +188,32 @@ TEST_F(OptimizerFixture, AutoModeProfilesThreeClassifyCandidates) {
   }
 }
 
+TEST_F(OptimizerFixture, AutoModePicksCachedSimilarityOnEveryRun) {
+  // Both similarity candidates are profiled, but they cost the same model
+  // tokens, so their sample runtimes must not decide: the cached one,
+  // which never embeds more, wins every time.
+  for (int run = 0; run < 20; ++run) {
+    QueryOptimizer optimizer(db_->llm(), db_->registry());
+    LogicalPlan plan = PaperPlan(db_->llm(), db_->catalog());
+    auto physical = optimizer.Optimize(plan, PaperIntent(), &ctx_);
+    ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+    int profiled = 0;
+    for (const auto& p : optimizer.profiles()) {
+      if (p.node == "gen_exciting_score") ++profiled;
+    }
+    EXPECT_EQ(profiled, 2);
+    bool checked = false;
+    for (const auto& n : physical->nodes) {
+      if (n.sig.name == "gen_exciting_score") {
+        checked = true;
+        EXPECT_EQ(n.spec.template_id, "keyword_similarity_cached")
+            << "run " << run;
+      }
+    }
+    EXPECT_TRUE(checked);
+  }
+}
+
 TEST_F(OptimizerFixture, ForcedImplIsRespected) {
   for (const char* impl : {"stats", "pixels", "cascade"}) {
     OptimizerOptions opts;
