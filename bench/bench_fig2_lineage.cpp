@@ -6,6 +6,10 @@
 // raw lineage-recording throughput.
 
 #include <benchmark/benchmark.h>
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "lineage/lineage.h"
@@ -58,6 +62,38 @@ void BM_RecordRowDerivation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RecordRowDerivation);
+
+// Row edges as the executor records them for the paper query: one
+// 6 810-row batch per plan node, cycling over 10 function names. The store
+// is replaced (untimed) every 128 batches so memory stays bounded.
+void BM_RecordRowDerivations(benchmark::State& state) {
+  constexpr size_t kRows = 6810;
+  std::vector<std::string> names;
+  for (int f = 0; f < 10; ++f) {
+    names.push_back("bench_fn_" + std::to_string(f));
+  }
+  auto store = std::make_unique<lineage::LineageStore>();
+  int64_t parent = store->RecordIngest("bench", "ingest", 1,
+                                       lineage::LineageDataType::kTable);
+  std::vector<int64_t> lids(kRows);
+  size_t batches = 0;
+  for (auto _ : state) {
+    if (++batches % 128 == 0) {
+      state.PauseTiming();
+      store = std::make_unique<lineage::LineageStore>();
+      parent = store->RecordIngest("bench", "ingest", 1,
+                                   lineage::LineageDataType::kTable);
+      state.ResumeTiming();
+    }
+    std::fill(lids.begin(), lids.end(), parent);
+    store->RecordRowDerivations(lids.data(), kRows,
+                                names[batches % names.size()], 1, lids.data());
+    benchmark::DoNotOptimize(lids.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_RecordRowDerivations);
 
 void BM_TraceToSources(benchmark::State& state) {
   lineage::LineageStore store;

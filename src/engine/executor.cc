@@ -330,18 +330,15 @@ Status Executor::FinishNode(const opt::PhysicalNode& node,
   if (narrow && (mode == lineage::TrackingMode::kRow ||
                  mode == lineage::TrackingMode::kSampled)) {
     // Row-level: each output row derives from the input row whose lid it
-    // carried through the function body.
-    int64_t fallback_parent =
-        inputs.empty() ? 0
-                       : (inputs[0]->table_lid() != 0 ? inputs[0]->table_lid()
-                                                      : 0);
-    for (size_t r = 0; r < out.num_rows(); ++r) {
-      int64_t parent = out.row_lid(r);
-      if (parent == 0) parent = fallback_parent;
-      int64_t child =
-          ctx->lineage->RecordRowDerivation(parent, spec.name, spec.ver_id);
-      out.set_row_lid(r, child);
+    // carried through the function body, recorded as one batch.
+    int64_t fallback_parent = inputs.empty() ? 0 : inputs[0]->table_lid();
+    std::vector<int64_t> lids(out.num_rows());
+    for (size_t r = 0; r < lids.size(); ++r) {
+      lids[r] = out.row_lid(r) != 0 ? out.row_lid(r) : fallback_parent;
     }
+    ctx->lineage->RecordRowDerivations(lids.data(), lids.size(), spec.name,
+                                       spec.ver_id, lids.data());
+    for (size_t r = 0; r < lids.size(); ++r) out.set_row_lid(r, lids[r]);
   } else {
     // Wide (or coarse tracking): one table-level derivation; all input
     // tuples are assumed to contribute to all output tuples.

@@ -1,5 +1,6 @@
 #include "lineage/lineage.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.h"
@@ -25,11 +26,25 @@ int64_t LineageStore::NewLid() {
   return next_lid_++;
 }
 
-void LineageStore::AppendLocked(LineageEntry e) {
+void LineageStore::AppendLocked(int64_t lid, int64_t parent, uint32_t src,
+                                uint32_t func, LineageDataType type) {
   clock_ += 0.1;
-  e.ts = clock_;
-  by_child_.emplace(e.lid, entries_.size());
-  entries_.push_back(std::move(e));
+  lid_.push_back(lid);
+  parent_.push_back(parent);
+  src_.push_back(src);
+  func_.push_back(func);
+  type_.push_back(type);
+  ts_.push_back(clock_);
+}
+
+uint32_t LineageStore::InternFuncLocked(const std::string& func_id,
+                                        int64_t ver_id) {
+  uint32_t& id = func_ids_[func_id][ver_id];
+  if (id == 0) {
+    id = static_cast<uint32_t>(funcs_.size());
+    funcs_.emplace_back(func_id, ver_id);
+  }
+  return id;
 }
 
 int64_t LineageStore::RecordIngest(const std::string& src_uri,
@@ -37,45 +52,45 @@ int64_t LineageStore::RecordIngest(const std::string& src_uri,
                                    LineageDataType type) {
   if (mode_ == TrackingMode::kOff) return 0;
   common::MutexLock lock(mu_);
-  LineageEntry e;
-  e.lid = next_lid_++;
-  e.parent_lid = std::nullopt;
-  e.src_uri = src_uri;
-  e.func_id = func_id;
-  e.ver_id = ver_id;
-  e.data_type = type;
-  int64_t lid = e.lid;
-  AppendLocked(std::move(e));
+  uint32_t src = 0;
+  if (!src_uri.empty()) {
+    src = static_cast<uint32_t>(src_uris_.size());
+    src_uris_.push_back(src_uri);
+  }
+  int64_t lid = next_lid_++;
+  AppendLocked(lid, 0, src, InternFuncLocked(func_id, ver_id), type);
   return lid;
 }
 
 int64_t LineageStore::RecordRowDerivation(int64_t parent_lid,
                                           const std::string& func_id,
                                           int64_t ver_id) {
+  int64_t lid = 0;
+  RecordRowDerivations(&parent_lid, 1, func_id, ver_id, &lid);
+  return lid;
+}
+
+void LineageStore::RecordRowDerivations(const int64_t* parents, size_t n,
+                                        const std::string& func_id,
+                                        int64_t ver_id, int64_t* out_lids) {
+  if (mode_ == TrackingMode::kOff || mode_ == TrackingMode::kTable) {
+    std::fill_n(out_lids, n, 0);
+    return;
+  }
   common::MutexLock lock(mu_);
-  switch (mode_) {
-    case TrackingMode::kOff:
-    case TrackingMode::kTable:
-      return 0;
-    case TrackingMode::kSampled: {
+  uint32_t func = InternFuncLocked(func_id, ver_id);
+  for (size_t i = 0; i < n; ++i) {
+    int64_t parent = parents[i];
+    out_lids[i] = 0;
+    if (mode_ == TrackingMode::kSampled) {
       sample_state_ = SplitMix64(sample_state_);
       double draw = static_cast<double>(sample_state_ >> 11) /
                     9007199254740992.0;
-      if (draw >= sample_rate_) return 0;
-      break;
+      if (draw >= sample_rate_) continue;
     }
-    case TrackingMode::kRow:
-      break;
+    out_lids[i] = next_lid_++;
+    AppendLocked(out_lids[i], parent, 0, func, LineageDataType::kRow);
   }
-  LineageEntry e;
-  e.lid = next_lid_++;
-  if (parent_lid != 0) e.parent_lid = parent_lid;
-  e.func_id = func_id;
-  e.ver_id = ver_id;
-  e.data_type = LineageDataType::kRow;
-  int64_t lid = e.lid;
-  AppendLocked(std::move(e));
-  return lid;
 }
 
 int64_t LineageStore::RecordTableDerivation(
@@ -84,32 +99,25 @@ int64_t LineageStore::RecordTableDerivation(
   if (mode_ == TrackingMode::kOff) return 0;
   common::MutexLock lock(mu_);
   int64_t lid = next_lid_++;
+  uint32_t func = InternFuncLocked(func_id, ver_id);
   if (parent_lids.empty()) {
-    LineageEntry e;
-    e.lid = lid;
-    e.func_id = func_id;
-    e.ver_id = ver_id;
-    e.data_type = LineageDataType::kTable;
-    AppendLocked(std::move(e));
-    return lid;
+    AppendLocked(lid, 0, 0, func, LineageDataType::kTable);
   }
   for (int64_t p : parent_lids) {
-    LineageEntry e;
-    e.lid = lid;
-    if (p != 0) e.parent_lid = p;
-    e.func_id = func_id;
-    e.ver_id = ver_id;
-    e.data_type = LineageDataType::kTable;
-    AppendLocked(std::move(e));
+    AppendLocked(lid, p, 0, func, LineageDataType::kTable);
   }
   return lid;
 }
 
 std::vector<LineageEntry> LineageStore::EdgesOfLocked(int64_t lid) const {
   std::vector<LineageEntry> out;
-  auto [lo, hi] = by_child_.equal_range(lid);
-  for (auto it = lo; it != hi; ++it) {
-    out.push_back(entries_[it->second]);
+  auto [lo, hi] = std::equal_range(lid_.begin(), lid_.end(), lid);
+  for (size_t i = lo - lid_.begin(); i < size_t(hi - lid_.begin()); ++i) {
+    const auto& [func_id, ver_id] = funcs_[func_[i]];
+    std::optional<int64_t> parent;
+    if (parent_[i] != 0) parent = parent_[i];
+    out.push_back({lid, parent, src_uris_[src_[i]], func_id, ver_id,
+                   type_[i], ts_[i]});
   }
   return out;
 }
@@ -156,29 +164,27 @@ rel::Table LineageStore::ToTable(size_t max_rows) const {
                                        {"data_type", DataType::kString},
                                        {"ts", DataType::kDouble}}));
   common::MutexLock lock(mu_);
-  size_t n = max_rows == 0 ? entries_.size()
-                           : std::min(max_rows, entries_.size());
+  size_t n = max_rows == 0 ? lid_.size() : std::min(max_rows, lid_.size());
   for (size_t i = 0; i < n; ++i) {
-    const LineageEntry& e = entries_[i];
-    t.AppendRow({Value::Int(e.lid),
-                 e.parent_lid.has_value() ? Value::Int(*e.parent_lid)
-                                          : Value::Null(),
-                 e.src_uri.empty() ? Value::Null() : Value::Str(e.src_uri),
-                 e.func_id.empty() ? Value::Null() : Value::Str(e.func_id),
-                 Value::Int(e.ver_id),
-                 Value::Str(e.data_type == LineageDataType::kRow ? "row"
-                                                                 : "table"),
-                 Value::Double(e.ts)});
+    const std::string& src_uri = src_uris_[src_[i]];
+    const auto& [func_id, ver_id] = funcs_[func_[i]];
+    t.AppendRow({Value::Int(lid_[i]),
+                 parent_[i] != 0 ? Value::Int(parent_[i]) : Value::Null(),
+                 src_uri.empty() ? Value::Null() : Value::Str(src_uri),
+                 func_id.empty() ? Value::Null() : Value::Str(func_id),
+                 Value::Int(ver_id),
+                 Value::Str(type_[i] == LineageDataType::kRow ? "row"
+                                                              : "table"),
+                 Value::Double(ts_[i])});
   }
   return t;
 }
 
 size_t LineageStore::ApproxBytes() const {
   common::MutexLock lock(mu_);
-  size_t bytes = 0;
-  for (const auto& e : entries_) {
-    bytes += sizeof(LineageEntry) + e.src_uri.size() + e.func_id.size();
-  }
+  size_t bytes = lid_.size() * kBytesPerEdge;
+  for (const auto& s : src_uris_) bytes += s.size();
+  for (const auto& f : funcs_) bytes += f.first.size();
   return bytes;
 }
 

@@ -124,13 +124,27 @@ TEST(LineageConcurrencyTest, ParallelDerivationsKeepLidsUnique) {
   int64_t root = store.RecordIngest("table://t", "load_data", 1,
                                     lineage::LineageDataType::kTable);
   constexpr int kThreads = 8;
-  constexpr int kPerThread = 500;
+  constexpr int kPerThread = 512;
+  constexpr int kBatch = 64;
   std::vector<std::vector<int64_t>> lids(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
+    // Even threads record one row per call, odd threads 64-row batches.
     threads.emplace_back([&store, &lids, t, root] {
-      for (int i = 0; i < kPerThread; ++i) {
-        lids[t].push_back(store.RecordRowDerivation(root, "fn", 1));
+      if (t % 2 == 0) {
+        for (int i = 0; i < kPerThread; ++i) {
+          lids[t].push_back(store.RecordRowDerivation(root, "fn", 1));
+        }
+        return;
+      }
+      for (int i = 0; i < kPerThread; i += kBatch) {
+        std::vector<int64_t> batch(kBatch, root);
+        store.RecordRowDerivations(batch.data(), batch.size(), "batch_fn", 1,
+                                   batch.data());
+        for (int j = 1; j < kBatch; ++j) {
+          EXPECT_EQ(batch[j], batch[j - 1] + 1) << "batch lids not contiguous";
+        }
+        lids[t].insert(lids[t].end(), batch.begin(), batch.end());
       }
     });
   }
@@ -143,10 +157,14 @@ TEST(LineageConcurrencyTest, ParallelDerivationsKeepLidsUnique) {
     }
   }
   EXPECT_EQ(store.num_entries(), 1u + kThreads * kPerThread);
+  rel::Table table = store.ToTable();
+  for (size_t r = 1; r < table.num_rows(); ++r) {
+    EXPECT_LE(table.at(r - 1, 0).AsInt(), table.at(r, 0).AsInt());
+  }
   // Every recorded edge still traces to the ingest root.
-  for (int64_t lid : lids[0]) {
+  for (int64_t lid : unique) {
     auto trace = store.TraceToSources(lid);
-    ASSERT_FALSE(trace.empty());
+    ASSERT_EQ(trace.size(), 2u);
     EXPECT_EQ(trace.back().src_uri, "table://t");
   }
 }

@@ -71,8 +71,9 @@ TEST(ExecutorLineageTest, TableModeRecordsOnlyTableEdges) {
   auto user = PaperUser();
   auto outcome = RunPaper(db.get(), &user);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  for (const auto& e : db->lineage()->entries()) {
-    EXPECT_EQ(e.data_type, lineage::LineageDataType::kTable);
+  rel::Table edges = db->lineage()->ToTable();
+  for (size_t r = 0; r < edges.num_rows(); ++r) {
+    EXPECT_EQ(edges.at(r, 5).AsString(), "table");
   }
 }
 

@@ -96,9 +96,10 @@ TEST(LineageTest, TimestampsAreMonotone) {
   store.RecordIngest("a", "f", 1, LineageDataType::kTable);
   store.RecordRowDerivation(1, "g", 1);
   store.RecordRowDerivation(2, "h", 2);
-  const auto& entries = store.entries();
-  for (size_t i = 1; i < entries.size(); ++i) {
-    EXPECT_GT(entries[i].ts, entries[i - 1].ts);
+  rel::Table t = store.ToTable();
+  ASSERT_EQ(t.num_rows(), 3u);
+  for (size_t i = 1; i < t.num_rows(); ++i) {
+    EXPECT_GT(t.at(i, 6).AsDouble(), t.at(i - 1, 6).AsDouble());
   }
 }
 
@@ -125,20 +126,15 @@ TEST(LineageTest, ToTableMatchesPaperSchema) {
 }
 
 TEST(LineageTest, CycleSafeTraversal) {
-  // Malformed input (cycle) must not hang the traversal.
+  // Malformed input (a cycle) must not hang the traversal. Forward parents
+  // build one: lid 1 derives from lid 2, and lid 2 from lid 1.
   LineageStore store;
-  int64_t a = store.RecordRowDerivation(0, "f", 1);
-  int64_t b = store.RecordRowDerivation(a, "g", 1);
-  // Manually create a back edge b -> a by deriving a from b again.
-  // (The store is append-only; we simulate the cycle by tracing from a
-  // store where a's parent is b.)
-  LineageStore cyclic;
-  int64_t x = cyclic.NewLid();
-  int64_t y = cyclic.NewLid();
-  (void)x;
-  (void)y;
-  // TraceToSources must terminate on the acyclic store regardless.
-  EXPECT_NO_FATAL_FAILURE({ auto chain = store.TraceToSources(b); });
+  ASSERT_EQ(store.RecordRowDerivation(2, "f", 1), 1);
+  ASSERT_EQ(store.RecordRowDerivation(1, "g", 1), 2);
+  auto chain = store.TraceToSources(2);
+  ASSERT_EQ(chain.size(), 2u);
+  EXPECT_EQ(chain[0].lid, 2);
+  EXPECT_EQ(chain[1].lid, 1);
 }
 
 TEST(LineageTest, ApproxBytesGrowsWithEntries) {
@@ -147,7 +143,101 @@ TEST(LineageTest, ApproxBytesGrowsWithEntries) {
   for (int i = 0; i < 100; ++i) {
     store.RecordRowDerivation(i, "some_function_name", 1);
   }
-  EXPECT_GT(store.ApproxBytes(), before + 100 * sizeof(LineageEntry) / 2);
+  // 100 edges of column bytes, plus the function name interned once.
+  EXPECT_EQ(store.ApproxBytes(),
+            before + 100 * LineageStore::kBytesPerEdge +
+                std::string("some_function_name").size());
+}
+
+// Replays one script of mixed appends into `store`, recording rows either
+// one call per row or as one batch per derivation; returns every lid
+// handed out, in order.
+std::vector<int64_t> RecordScript(LineageStore* store, bool batched) {
+  std::vector<int64_t> lids;
+  int64_t src = store->RecordIngest("file://t", "load_data", 1,
+                                    LineageDataType::kTable);
+  lids.push_back(src);
+  for (int round = 0; round < 6; ++round) {
+    lids.push_back(store->NewLid());  // a gap in the lid column
+    std::vector<int64_t> rows;
+    for (int r = 0; r < 40 + 7 * round; ++r) {
+      rows.push_back(r % 3 == 0 ? 0 : lids[(r * 13) % lids.size()]);
+    }
+    std::string fn = "fn_" + std::to_string(round % 3);
+    if (batched) {
+      std::vector<int64_t> out(rows.size(), -1);
+      store->RecordRowDerivations(rows.data(), rows.size(), fn, round,
+                                  out.data());
+      lids.insert(lids.end(), out.begin(), out.end());
+    } else {
+      for (int64_t parent : rows) {
+        lids.push_back(store->RecordRowDerivation(parent, fn, round));
+      }
+    }
+    lids.push_back(store->RecordTableDerivation(
+        {src, lids[lids.size() - 1], lids[lids.size() / 2]}, "join", 1));
+  }
+  return lids;
+}
+
+class LineageBatchDifferential
+    : public ::testing::TestWithParam<TrackingMode> {};
+
+TEST_P(LineageBatchDifferential, BatchedMatchesPerRow) {
+  LineageStore per_row(GetParam(), 0.25);
+  LineageStore batched(GetParam(), 0.25);
+  std::vector<int64_t> a = RecordScript(&per_row, false);
+  std::vector<int64_t> b = RecordScript(&batched, true);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(per_row.num_entries(), batched.num_entries());
+  EXPECT_EQ(per_row.ToTable().Fingerprint(), batched.ToTable().Fingerprint());
+  EXPECT_EQ(per_row.ApproxBytes(), batched.ApproxBytes());
+  for (int64_t lid : b) {
+    if (lid == 0) continue;
+    auto x = per_row.TraceToSources(lid);
+    auto y = batched.TraceToSources(lid);
+    ASSERT_EQ(x.size(), y.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].lid, y[i].lid);
+      EXPECT_EQ(x[i].parent_lid, y[i].parent_lid);
+      EXPECT_EQ(x[i].ts, y[i].ts);
+    }
+  }
+  // The first NewLid of the script is a gap: it owns no edge.
+  EXPECT_TRUE(batched.EdgesOf(b[1]).empty());
+  // Multi-parent table derivations keep their parents in insertion order.
+  auto join = batched.EdgesOf(b.back());
+  ASSERT_EQ(join.size(), 3u);
+  EXPECT_EQ(join[0].parent_lid, b[0]);
+  EXPECT_EQ(batched.ParentsOf(b.back()), per_row.ParentsOf(a.back()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, LineageBatchDifferential,
+                         ::testing::Values(TrackingMode::kRow,
+                                           TrackingMode::kSampled),
+                         [](const auto& info) {
+                           return info.param == TrackingMode::kRow
+                                      ? "Row"
+                                      : "Sampled";
+                         });
+
+TEST(LineageTest, BatchOutputMayAliasParents) {
+  LineageStore store;
+  int64_t src = store.RecordIngest("s", "load", 1, LineageDataType::kTable);
+  std::vector<int64_t> lids = {src, 0, src};
+  store.RecordRowDerivations(lids.data(), lids.size(), "f", 1, lids.data());
+  EXPECT_EQ(lids, (std::vector<int64_t>{2, 3, 4}));
+  EXPECT_EQ(store.ParentsOf(2), std::vector<int64_t>{src});
+  EXPECT_TRUE(store.ParentsOf(3).empty());
+}
+
+TEST(LineageTest, BatchUnderTableModeRecordsNothing) {
+  LineageStore store(TrackingMode::kTable);
+  std::vector<int64_t> parents = {1, 2};
+  std::vector<int64_t> out = {-1, -1};
+  store.RecordRowDerivations(parents.data(), 2, "f", 1, out.data());
+  EXPECT_EQ(out, (std::vector<int64_t>{0, 0}));
+  EXPECT_EQ(store.num_entries(), 0u);
 }
 
 TEST(LineageTest, DependencyPatternNames) {
