@@ -1,5 +1,6 @@
 #include "engine/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <map>
@@ -82,8 +83,12 @@ std::string AgenticMonitor::DetectAnomaly(const opt::PhysicalNode& node,
                                           const Table& output,
                                           double sample_rate) {
   if (sample_rate <= 0.0 || output.num_rows() == 0) return "";
-  size_t inspect = std::max<size_t>(
-      1, static_cast<size_t>(output.num_rows() * sample_rate));
+  // A rate of 1 or more inspects every row, never more.
+  const size_t rows = output.num_rows();
+  size_t inspect = sample_rate >= 1.0
+                       ? rows
+                       : std::max<size_t>(
+                             1, static_cast<size_t>(rows * sample_rate));
 
   // Check 1 — a join that links one poster to several movies: the paper's
   // example of a silent semantic fault. Applies to join-ish nodes with a

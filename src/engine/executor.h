@@ -43,6 +43,13 @@ struct NodeRun {
   int64_t ver_id = 0;
   std::string dependency_pattern;
   size_t output_rows = 0;
+  /// Wall time from just after the node's inputs are resolved to the end
+  /// of its syntactic-repair loop: the first evaluation (including any
+  /// wait for a batched model round trip) and every repair with its
+  /// re-evaluation. It excludes the catalog lookup of the inputs, the
+  /// enforce_unique dedup, lineage recording, anomaly detection and
+  /// resolution, the catalog upsert of the output and the
+  /// on_final_output callback.
   double runtime_ms = 0.0;
   int repair_attempts = 0;      ///< syntactic repairs on this node
   bool semantic_flagged = false;  ///< anomaly escalated to the user

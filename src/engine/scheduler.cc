@@ -8,13 +8,6 @@
 
 namespace kathdb::engine {
 
-Status DagScheduler::Run(const opt::PhysicalPlan& plan,
-                         const SchedulerOptions& options,
-                         const NodeFn& run_node) {
-  return RunAsync(plan, options,
-                  [&run_node](size_t idx, DoneFn done) { done(run_node(idx)); });
-}
-
 namespace {
 
 /// Shared completion state of one RunAsync invocation. All members are
@@ -61,32 +54,12 @@ Status DagScheduler::RunAsync(const opt::PhysicalPlan& plan,
   const std::vector<std::vector<size_t>> deps =
       plan.deps.size() == n ? plan.deps : plan.ComputeDeps();
 
-  // Sequential fast path: exactly the classic topological walk, awaiting
-  // each node's completion signal in turn (a parked node blocks only this
-  // caller; batch flushes still progress on the scheduler's own thread).
-  if (options.max_parallel_nodes <= 1 || options.pool == nullptr || n < 2) {
-    for (size_t i = 0; i < n; ++i) {
-      common::Mutex m;
-      common::CondVar c;
-      bool signalled = false;
-      Status node_status = Status::OK();
-      // The lambda outlives no one: run_node arranges for it to fire
-      // before we return from the wait below. The analysis cannot see
-      // through std::function, so the completion body asserts nothing.
-      run_node(i, [&](Status st) KATHDB_NO_THREAD_SAFETY_ANALYSIS {
-        {
-          common::MutexLock node_lock(m);
-          node_status = std::move(st);
-          signalled = true;
-        }
-        c.NotifyAll();
-      });
-      common::MutexLock node_lock(m);
-      while (!signalled) c.Wait(m);
-      KATHDB_RETURN_IF_ERROR(node_status);
-    }
-    return Status::OK();
-  }
+  // Sequential mode (no pool, a budget of 1, or a single node): one node
+  // in flight, dispatched on this thread. Lowest-index-first over a plan
+  // in topological order is then the plain index-order walk.
+  const bool sequential =
+      options.pool == nullptr || options.max_parallel_nodes <= 1 || n < 2;
+  const int budget = sequential ? 1 : options.max_parallel_nodes;
 
   auto state = std::make_shared<DagState>();
   {
@@ -126,9 +99,8 @@ Status DagScheduler::RunAsync(const opt::PhysicalPlan& plan,
           break;
         }
         if (!state->failed && !state->ready.empty() &&
-            state->inflight < options.max_parallel_nodes) {
-          while (!state->ready.empty() &&
-                 state->inflight < options.max_parallel_nodes) {
+            state->inflight < budget) {
+          while (!state->ready.empty() && state->inflight < budget) {
             dispatch_now.push_back(state->ready.top());
             state->ready.pop();
             ++state->inflight;
@@ -157,11 +129,11 @@ Status DagScheduler::RunAsync(const opt::PhysicalPlan& plan,
       // the dispatched task itself may return early after parking its
       // state on a batch, freeing the worker.
       auto done = [state, idx](Status st) { state->Finish(idx, std::move(st)); };
-      bool submitted = options.pool->TrySubmit(
-          [&run_node, idx, done] { run_node(idx, done); });
-      if (!submitted) {
-        // Pool saturated or shutting down: run the node on this thread
-        // so scheduling never blocks on a free worker.
+      // Sequential mode runs the node on this thread, and so does a
+      // refused submit (pool saturated or shutting down), so scheduling
+      // never blocks on a free worker.
+      if (sequential || !options.pool->TrySubmit(
+                            [&run_node, idx, done] { run_node(idx, done); })) {
         run_node(idx, done);
       }
     }

@@ -62,13 +62,6 @@ Result<int64_t> FunctionRegistry::RollbackTo(const std::string& name,
   return RegisterNewVersionLocked(std::move(old));
 }
 
-std::vector<std::string> FunctionRegistry::FunctionNames() const {
-  common::MutexLock lock(mu_);
-  std::vector<std::string> out;
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;
-}
-
 Status FunctionRegistry::SaveToDir(const std::string& dir) const {
   common::MutexLock lock(mu_);
   std::error_code ec;

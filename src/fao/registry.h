@@ -51,7 +51,6 @@ class FunctionRegistry {
   Result<int64_t> RollbackTo(const std::string& name, int64_t ver_id)
       KATHDB_EXCLUDES(mu_);
 
-  std::vector<std::string> FunctionNames() const KATHDB_EXCLUDES(mu_);
   size_t num_functions() const KATHDB_EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
     return specs_.size();

@@ -263,11 +263,4 @@ FrameSceneStats SceneIndex::Stats(int64_t vid, int64_t fid) const {
   return stats;
 }
 
-Result<FrameSceneStats> ComputeFrameStats(int64_t vid, int64_t fid,
-                                          const rel::Catalog& catalog,
-                                          const SceneGraphViews& views) {
-  KATHDB_ASSIGN_OR_RETURN(SceneIndex index, SceneIndex::Build(catalog, views));
-  return index.Stats(vid, fid);
-}
-
 }  // namespace kathdb::mm

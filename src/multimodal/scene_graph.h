@@ -140,11 +140,4 @@ class SceneIndex {
   std::unordered_map<FrameKey, Frame, FrameKeyHash> by_frame_;
 };
 
-/// Computes stats for (vid, fid) from the populated views + Frames pixels.
-/// Builds a SceneIndex for one probe; callers probing many frames build
-/// the index once instead.
-Result<FrameSceneStats> ComputeFrameStats(int64_t vid, int64_t fid,
-                                          const rel::Catalog& catalog,
-                                          const SceneGraphViews& views = {});
-
 }  // namespace kathdb::mm

@@ -369,11 +369,4 @@ Result<std::vector<std::string>> TextIndex::EntityTokens(int64_t did) const {
   return out;
 }
 
-Result<std::vector<std::string>> EntityTokensOf(int64_t did,
-                                                const rel::Catalog& catalog,
-                                                const TextGraphViews& views) {
-  KATHDB_ASSIGN_OR_RETURN(TextIndex index, TextIndex::Build(catalog, views));
-  return index.EntityTokens(did);
-}
-
 }  // namespace kathdb::mm

@@ -110,10 +110,4 @@ class TextIndex {
   std::unordered_map<int64_t, Doc> docs_;
 };
 
-/// All entity surface forms (class + canonical text) extracted for `did`,
-/// the input to keyword-similarity scoring. Builds a TextIndex for one
-/// probe; callers probing many documents build the index once instead.
-Result<std::vector<std::string>> EntityTokensOf(
-    int64_t did, const rel::Catalog& catalog, const TextGraphViews& views = {});
-
 }  // namespace kathdb::mm

@@ -7,24 +7,6 @@
 
 namespace kathdb::rel {
 
-const char* ColumnEncodingName(ColumnEncoding e) {
-  switch (e) {
-    case ColumnEncoding::kEmpty:
-      return "EMPTY";
-    case ColumnEncoding::kBool:
-      return "BOOL";
-    case ColumnEncoding::kInt:
-      return "INT";
-    case ColumnEncoding::kDouble:
-      return "DOUBLE";
-    case ColumnEncoding::kDict:
-      return "DICT";
-    case ColumnEncoding::kMixed:
-      return "MIXED";
-  }
-  return "?";
-}
-
 namespace {
 
 ColumnEncoding EncodingFor(DataType t) {
@@ -354,65 +336,6 @@ uint64_t ColumnVector::HashAt(size_t i) const {
       break;
   }
   return kNullHash;
-}
-
-void ColumnVector::FoldHashRange(size_t begin, size_t len, uint64_t mul,
-                                 uint64_t* acc) const {
-  switch (enc_) {
-    case ColumnEncoding::kBool:
-      for (size_t i = 0; i < len; ++i) {
-        size_t p = begin + i;
-        uint64_t h =
-            IsNull(p) ? kNullHash : SplitMix64(bools_[p] != 0 ? 1 : 0);
-        acc[i] = acc[i] * mul + h;
-      }
-      return;
-    case ColumnEncoding::kInt:
-      for (size_t i = 0; i < len; ++i) {
-        size_t p = begin + i;
-        uint64_t h = IsNull(p)
-                         ? kNullHash
-                         : HashNumeric(static_cast<double>(ints_[p]));
-        acc[i] = acc[i] * mul + h;
-      }
-      return;
-    case ColumnEncoding::kDouble:
-      for (size_t i = 0; i < len; ++i) {
-        size_t p = begin + i;
-        uint64_t h = IsNull(p) ? kNullHash : HashNumeric(doubles_[p]);
-        acc[i] = acc[i] * mul + h;
-      }
-      return;
-    case ColumnEncoding::kDict: {
-      if (dict_.size() <= len) {
-        // Hash each distinct string once, then fold by code lookup.
-        std::vector<uint64_t> dh(dict_.size());
-        for (size_t d = 0; d < dict_.size(); ++d) dh[d] = HashString(dict_[d]);
-        for (size_t i = 0; i < len; ++i) {
-          size_t p = begin + i;
-          uint64_t h = IsNull(p) ? kNullHash : dh[codes_[p]];
-          acc[i] = acc[i] * mul + h;
-        }
-      } else {
-        for (size_t i = 0; i < len; ++i) {
-          size_t p = begin + i;
-          uint64_t h = IsNull(p) ? kNullHash : HashString(dict_[codes_[p]]);
-          acc[i] = acc[i] * mul + h;
-        }
-      }
-      return;
-    }
-    case ColumnEncoding::kMixed:
-      for (size_t i = 0; i < len; ++i) {
-        size_t p = begin + i;
-        uint64_t h = IsNull(p) ? kNullHash : mixed_[p].Hash();
-        acc[i] = acc[i] * mul + h;
-      }
-      return;
-    case ColumnEncoding::kEmpty:
-      for (size_t i = 0; i < len; ++i) acc[i] = acc[i] * mul + kNullHash;
-      return;
-  }
 }
 
 void ColumnVector::FoldHashGather(const uint32_t* idx, size_t n, uint64_t mul,

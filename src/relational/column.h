@@ -32,9 +32,6 @@ namespace kathdb::rel {
 /// Physical layout of one column.
 enum class ColumnEncoding { kEmpty, kBool, kInt, kDouble, kDict, kMixed };
 
-/// Human-readable encoding name ("INT", "DICT", ...) for debug output.
-const char* ColumnEncodingName(ColumnEncoding e);
-
 /// \brief One table column: typed contiguous cells + validity bitmap.
 class ColumnVector {
  public:
@@ -80,14 +77,12 @@ class ColumnVector {
   /// for typed encodings). Used by the hash-join build side.
   uint64_t HashAt(size_t i) const;
 
-  /// Folds cell hashes into per-row accumulators: for each i in [0, len),
-  /// acc[i] = acc[i] * mul + HashAt(begin + i). The group-by kernel builds
-  /// multi-column group hashes with one pass per key column instead of one
-  /// Value materialization per cell; kDict hashes each distinct dictionary
-  /// string at most once per call.
-  void FoldHashRange(size_t begin, size_t len, uint64_t mul,
-                     uint64_t* acc) const;
-  /// Same fold over the physical rows named by idx[0..n).
+  /// Folds the hashes of the physical rows named by idx[0..n) into
+  /// per-row accumulators: acc[i] = acc[i] * mul + HashAt(idx[i]). The
+  /// group-by kernel builds multi-column group hashes with one pass per
+  /// key column instead of one Value materialization per cell; kDict
+  /// hashes each distinct dictionary string at most once per call when
+  /// the dictionary is no larger than n.
   void FoldHashGather(const uint32_t* idx, size_t n, uint64_t mul,
                       uint64_t* acc) const;
 

@@ -253,6 +253,25 @@ TEST(MonitorTest, ZeroSampleRateDisablesDetection) {
   EXPECT_EQ(outcome->report.total_anomalies, 0);
 }
 
+TEST(MonitorTest, SampleRateAboveOneInspectsEveryRowOnce) {
+  // A rate above 1 must stop at the last row instead of reading past it.
+  KathDB db;
+  AgenticMonitor monitor(db.llm(), db.registry(), nullptr);
+  opt::PhysicalNode node;
+  node.sig.name = "join_posters";
+  auto join_output = [](const char* second_title, int64_t second_vid) {
+    rel::Table t("joined", rel::Schema({{"vid", rel::DataType::kInt},
+                                        {"title", rel::DataType::kString}}));
+    t.AppendRow({rel::Value::Int(1), rel::Value::Str("Heat")});
+    t.AppendRow({rel::Value::Int(second_vid), rel::Value::Str(second_title)});
+    return t;
+  };
+  std::string duplicate =
+      monitor.DetectAnomaly(node, join_output("Ronin", 1), 3.0);
+  EXPECT_NE(duplicate.find("vid=1"), std::string::npos) << duplicate;
+  EXPECT_EQ(monitor.DetectAnomaly(node, join_output("Ronin", 2), 3.0), "");
+}
+
 // ------------------------------------------------------------- explainer
 
 TEST(ExplainerTest, CoarseExplanationListsAllSteps) {

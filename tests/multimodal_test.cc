@@ -170,12 +170,13 @@ TEST(SceneGraphTest, FrameStatsReflectContent) {
   SimulatedVlm vlm;
   ASSERT_TRUE(vlm.PopulateFromImage(1, ActionPoster(), &catalog, &lineage)
                   .ok());
-  auto stats = ComputeFrameStats(1, 0, catalog);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->num_objects, 3);
-  EXPECT_EQ(stats->num_relationships, 2);
-  EXPECT_EQ(stats->num_action_objects, 2);  // gun + motorcycle
-  EXPECT_NEAR(stats->color_variance, 0.2, 1e-3);
+  auto index = SceneIndex::Build(catalog);
+  ASSERT_TRUE(index.ok());
+  FrameSceneStats stats = index->Stats(1, 0);
+  EXPECT_EQ(stats.num_objects, 3);
+  EXPECT_EQ(stats.num_relationships, 2);
+  EXPECT_EQ(stats.num_action_objects, 2);  // gun + motorcycle
+  EXPECT_NEAR(stats.color_variance, 0.2, 1e-3);
 }
 
 // ------------------------------------------------------------- text graph
@@ -261,7 +262,9 @@ TEST_F(TextGraphFixture, BudgetAttributePattern) {
 
 TEST_F(TextGraphFixture, EntityTokensReadableThroughViews) {
   Populate("Eleanor Finch dodged the explosion near the bridge.");
-  auto tokens = EntityTokensOf(5, catalog_);
+  auto index = TextIndex::Build(catalog_);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto tokens = index->EntityTokens(5);
   ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
   bool has_explosion = false;
   bool has_eleanor = false;
@@ -275,7 +278,9 @@ TEST_F(TextGraphFixture, EntityTokensReadableThroughViews) {
 
 TEST_F(TextGraphFixture, EntityTokensForUnknownDocFails) {
   Populate("Some text.");
-  EXPECT_FALSE(EntityTokensOf(999, catalog_).ok());
+  auto index = TextIndex::Build(catalog_);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_FALSE(index->EntityTokens(999).ok());
 }
 
 TEST_F(TextGraphFixture, MentionDropNoiseReducesMentions) {
@@ -463,7 +468,6 @@ TEST(ViewIndexTest, TextIndexMatchesPerRowScan) {
     auto want = ScanEntityTokens(did, catalog);
     found += want.ok() ? 1 : 0;
     ExpectSameTokens(want, index->EntityTokens(did), what);
-    ExpectSameTokens(want, EntityTokensOf(did, catalog), what);
   }
   // dids 1-3 have text; 4 (empty text), 99 and -1 (unknown) do not.
   EXPECT_EQ(found, 3);
@@ -484,9 +488,6 @@ TEST(ViewIndexTest, SceneIndexMatchesPerRowScan) {
       auto want = ScanFrameStats(vid, fid, catalog);
       ASSERT_TRUE(want.ok()) << what;
       ExpectSameStats(want.value(), index->Stats(vid, fid), what);
-      auto wrapped = ComputeFrameStats(vid, fid, catalog);
-      ASSERT_TRUE(wrapped.ok()) << what;
-      ExpectSameStats(want.value(), wrapped.value(), what);
     }
   }
   FrameSceneStats no_frame_row = index->Stats(7, 1);
@@ -504,7 +505,6 @@ TEST(ViewIndexTest, MissingViewsFailLikeThePerRowScan) {
   auto text_got = TextIndex::Build(empty);
   ASSERT_FALSE(text_got.ok());
   EXPECT_EQ(text_want.status().ToString(), text_got.status().ToString());
-  ExpectSameTokens(text_want, EntityTokensOf(1, empty), "no text views");
   // An empty index, the keyword scorer's stand-in for missing views,
   // finds no document.
   EXPECT_EQ(TextIndex().EntityTokens(1).status().code(),
@@ -526,7 +526,7 @@ TEST(ViewIndexTest, MissingViewsFailLikeThePerRowScan) {
                   .ok());
   auto partial_want = ScanFrameStats(1, 0, partial);
   ASSERT_FALSE(partial_want.ok());
-  auto partial_got = ComputeFrameStats(1, 0, partial);
+  auto partial_got = SceneIndex::Build(partial);
   ASSERT_FALSE(partial_got.ok());
   EXPECT_EQ(partial_want.status().ToString(),
             partial_got.status().ToString());

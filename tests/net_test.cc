@@ -28,8 +28,8 @@
 #include "net/client.h"
 #include "net/event_loop.h"
 #include "net/wire.h"
-#include "relational/io.h"
 #include "service/query_service.h"
+#include "support/table_csv.h"
 
 namespace kathdb::net {
 namespace {

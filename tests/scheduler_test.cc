@@ -194,16 +194,18 @@ TEST(DagSchedulerTest, BranchesActuallyOverlapUnderAWideBudget) {
   SchedulerOptions opts;
   opts.max_parallel_nodes = 2;
   opts.pool = &pool;
-  Status st = DagScheduler::Run(plan, opts, [&](size_t) {
-    int now = active.fetch_add(1) + 1;
-    int prev = peak.load();
-    while (now > prev && !peak.compare_exchange_weak(prev, now)) {
-    }
-    // Hold the node open long enough for the sibling to get dispatched.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    active.fetch_sub(1);
-    return Status::OK();
-  });
+  Status st = DagScheduler::RunAsync(
+      plan, opts, [&](size_t, DagScheduler::DoneFn done) {
+        int now = active.fetch_add(1) + 1;
+        int prev = peak.load();
+        while (now > prev && !peak.compare_exchange_weak(prev, now)) {
+        }
+        // Hold the node open long enough for the sibling to get
+        // dispatched.
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        active.fetch_sub(1);
+        done(Status::OK());
+      });
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(peak.load(), 2);
 }
@@ -234,14 +236,17 @@ TEST(DagSchedulerTest, CyclicDepsAreRejectedInsteadOfHanging) {
   plan.final_output = "cycle_b";
   plan.deps = {{1}, {0}};  // hand-crafted cycle
 
+  // Parallel and sequential runs validate the edges alike.
   common::ThreadPool pool(2);
-  SchedulerOptions opts;
-  opts.max_parallel_nodes = 2;
-  opts.pool = &pool;
-  Status st =
-      DagScheduler::Run(plan, opts, [](size_t) { return Status::OK(); });
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("unsatisfiable"), std::string::npos);
+  for (const SchedulerOptions& opts :
+       {SchedulerOptions{2, &pool}, SchedulerOptions{1, nullptr}}) {
+    Status st = DagScheduler::RunAsync(
+        plan, opts,
+        [](size_t, DagScheduler::DoneFn done) { done(Status::OK()); });
+    ASSERT_FALSE(st.ok()) << "budget " << opts.max_parallel_nodes;
+    EXPECT_NE(st.ToString().find("unsatisfiable"), std::string::npos)
+        << "budget " << opts.max_parallel_nodes;
+  }
 }
 
 TEST(DagSchedulerTest, OutOfRangeDepsAreRejected) {
@@ -251,14 +256,17 @@ TEST(DagSchedulerTest, OutOfRangeDepsAreRejected) {
   plan.final_output = "oor_b";
   plan.deps = {{5}, {}};  // hand-crafted dep past the plan
 
+  // Parallel and sequential runs validate the edges alike.
   common::ThreadPool pool(2);
-  SchedulerOptions opts;
-  opts.max_parallel_nodes = 2;
-  opts.pool = &pool;
-  Status st =
-      DagScheduler::Run(plan, opts, [](size_t) { return Status::OK(); });
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("out-of-range"), std::string::npos);
+  for (const SchedulerOptions& opts :
+       {SchedulerOptions{2, &pool}, SchedulerOptions{1, nullptr}}) {
+    Status st = DagScheduler::RunAsync(
+        plan, opts,
+        [](size_t, DagScheduler::DoneFn done) { done(Status::OK()); });
+    ASSERT_FALSE(st.ok()) << "budget " << opts.max_parallel_nodes;
+    EXPECT_NE(st.ToString().find("out-of-range"), std::string::npos)
+        << "budget " << opts.max_parallel_nodes;
+  }
 }
 
 // ----------------------------------------------------------------- morsels

@@ -1,12 +1,10 @@
-// Unit + property tests for src/vector: embeddings, lexicon, indexes.
+// Unit + property tests for src/vector: embeddings and the concept lexicon.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "common/rng.h"
 #include "vector/embedding.h"
-#include "vector/index.h"
 
 namespace kathdb::vec {
 namespace {
@@ -110,124 +108,6 @@ TEST_P(EmbedderDimSweep, NormAndDeterminism) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, EmbedderDimSweep,
                          ::testing::Values(8, 16, 32, 64, 128, 256));
-
-// --------------------------------------------------------------- indexes
-
-std::vector<Embedding> RandomVectors(size_t n, size_t dim, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Embedding> out;
-  for (size_t i = 0; i < n; ++i) {
-    Embedding e(dim);
-    for (auto& v : e) v = static_cast<float>(rng.NextGaussian());
-    Normalize(&e);
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-TEST(BruteForceIndexTest, ExactTopK) {
-  BruteForceIndex idx(8);
-  auto vecs = RandomVectors(100, 8, 5);
-  for (size_t i = 0; i < vecs.size(); ++i) {
-    ASSERT_TRUE(idx.Add(static_cast<int64_t>(i), vecs[i]).ok());
-  }
-  ASSERT_TRUE(idx.Build().ok());
-  // Query with vector 42 itself: best hit must be id 42 with sim ~1.
-  auto hits = idx.Search(vecs[42], 5);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits.value().size(), 5u);
-  EXPECT_EQ(hits.value()[0].id, 42);
-  EXPECT_NEAR(hits.value()[0].score, 1.0f, 1e-5);
-  // Scores are non-increasing.
-  for (size_t i = 1; i < hits.value().size(); ++i) {
-    EXPECT_GE(hits.value()[i - 1].score, hits.value()[i].score);
-  }
-}
-
-TEST(BruteForceIndexTest, RejectsDimMismatch) {
-  BruteForceIndex idx(8);
-  EXPECT_FALSE(idx.Add(1, Embedding(4)).ok());
-  ASSERT_TRUE(idx.Add(1, Embedding(8, 0.5f)).ok());
-  EXPECT_FALSE(idx.Search(Embedding(4), 1).ok());
-}
-
-TEST(BruteForceIndexTest, KLargerThanSize) {
-  BruteForceIndex idx(4);
-  ASSERT_TRUE(idx.Add(7, {1, 0, 0, 0}).ok());
-  auto hits = idx.Search({1, 0, 0, 0}, 10);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits.value().size(), 1u);
-}
-
-TEST(IvfIndexTest, RequiresBuildBeforeSearch) {
-  IvfIndex idx(8, 4, 2);
-  ASSERT_TRUE(idx.Add(1, Embedding(8, 0.1f)).ok());
-  EXPECT_FALSE(idx.Search(Embedding(8, 0.1f), 1).ok());
-  ASSERT_TRUE(idx.Build().ok());
-  EXPECT_TRUE(idx.Search(Embedding(8, 0.1f), 1).ok());
-  // No adds after build.
-  EXPECT_FALSE(idx.Add(2, Embedding(8, 0.2f)).ok());
-}
-
-TEST(IvfIndexTest, HighRecallWithEnoughProbes) {
-  const size_t n = 500;
-  const size_t dim = 16;
-  auto vecs = RandomVectors(n, dim, 77);
-  BruteForceIndex exact(dim);
-  IvfIndex ivf(dim, 16, 8);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(exact.Add(static_cast<int64_t>(i), vecs[i]).ok());
-    ASSERT_TRUE(ivf.Add(static_cast<int64_t>(i), vecs[i]).ok());
-  }
-  ASSERT_TRUE(exact.Build().ok());
-  ASSERT_TRUE(ivf.Build().ok());
-
-  auto queries = RandomVectors(20, dim, 99);
-  double recall_sum = 0;
-  for (const auto& q : queries) {
-    auto te = exact.Search(q, 10);
-    auto ta = ivf.Search(q, 10);
-    ASSERT_TRUE(te.ok());
-    ASSERT_TRUE(ta.ok());
-    std::set<int64_t> truth;
-    for (const auto& h : te.value()) truth.insert(h.id);
-    size_t hit = 0;
-    for (const auto& h : ta.value()) {
-      if (truth.count(h.id) > 0) ++hit;
-    }
-    recall_sum += static_cast<double>(hit) / truth.size();
-  }
-  EXPECT_GT(recall_sum / 20.0, 0.6);  // probing half the clusters
-}
-
-TEST(IvfIndexTest, EmptyIndexSearchIsEmpty) {
-  IvfIndex idx(8, 4, 2);
-  ASSERT_TRUE(idx.Build().ok());
-  auto hits = idx.Search(Embedding(8, 0.5f), 3);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_TRUE(hits.value().empty());
-}
-
-// Property: brute-force top-1 self-retrieval across index sizes.
-class IndexSizeSweep : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(IndexSizeSweep, SelfRetrievalAlwaysTop1) {
-  size_t n = GetParam();
-  auto vecs = RandomVectors(n, 12, n);
-  BruteForceIndex idx(12);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(idx.Add(static_cast<int64_t>(i), vecs[i]).ok());
-  }
-  ASSERT_TRUE(idx.Build().ok());
-  for (size_t probe = 0; probe < n; probe += std::max<size_t>(1, n / 7)) {
-    auto hits = idx.Search(vecs[probe], 1);
-    ASSERT_TRUE(hits.ok());
-    EXPECT_EQ(hits.value()[0].id, static_cast<int64_t>(probe));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, IndexSizeSweep,
-                         ::testing::Values(1, 2, 10, 64, 257));
 
 }  // namespace
 }  // namespace kathdb::vec

@@ -76,12 +76,10 @@ TEST_F(VideoFixture, RelationshipJoinAcrossViews) {
 }
 
 TEST_F(VideoFixture, PerFrameStatsIndependent) {
-  auto calm = ComputeFrameStats(7, 0, catalog_);
-  auto armed = ComputeFrameStats(7, 3, catalog_);
-  ASSERT_TRUE(calm.ok());
-  ASSERT_TRUE(armed.ok());
-  EXPECT_EQ(calm->num_action_objects, 0);
-  EXPECT_EQ(armed->num_action_objects, 1);  // the gun
+  auto index = SceneIndex::Build(catalog_);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->Stats(7, 0).num_action_objects, 0);
+  EXPECT_EQ(index->Stats(7, 3).num_action_objects, 1);  // the gun
 }
 
 TEST_F(VideoFixture, FrameRowsTraceToVideoUri) {

@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "relational/io.h"
 #include "relational/table.h"
+#include "support/table_csv.h"
 
 namespace kathdb::net {
 namespace {
